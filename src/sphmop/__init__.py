@@ -14,7 +14,7 @@ from .operators import (MatrixODEOperator, build_operator, apply, conjugate,
                         commutator_check, hyp_solve, HypSolution,
                         classify_polynomial_solutions, L_eigensolve)
 from .orthogonality import (WeightMatrix, build_weight, chebyshev_moment,
-                            inner_product, trace_norm_check, symmetry_check,
-                            ldu_decompose, commutant)
+                            inner_product, symmetry_check, ldu_decompose,
+                            commutant)
 
 __version__ = "0.1.0"

@@ -10,21 +10,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
-from .gaussian import format_gaussian
+from .gaussian import GaussianRational, ZERO, format_gaussian
 from .polynomials import MatrixPolynomial
 from .structure import build_structures, eigen_ledger
 from .family import build_family, coeffs_by_recursion, coeffs_by_racah
 from .operators import (build_operator, apply, conjugate, commutator_check)
-from .orthogonality import (build_weight, inner_product, trace_norm_check,
-                            symmetry_check, ldu_decompose, commutant,
+from .orthogonality import (build_weight, inner_product, symmetry_check,
+                            ldu_decompose, commutant,
                             block_offdiagonal_is_zero, weighted_image,
                             inner_product_against_image)
 from . import geometry
-from .structure import build_L
 
 
 def poly_to_json(p):
@@ -74,137 +72,157 @@ def _cmd_family(args):
     return 0
 
 
-def _eigmats(ell, w):
-    lams = [eigen_ledger(ell, w, k).lam for k in range(ell + 1)]
-    mus = [eigen_ledger(ell, w, k).mu for k in range(ell + 1)]
-    return (MatrixPolynomial.diagonal(lams, var="u"),
-            MatrixPolynomial.diagonal(mus, var="u"))
+def _mismatch(lhs: MatrixPolynomial, rhs: MatrixPolynomial, where=""):
+    """None when the two matrices are equal, else a witness naming the first
+    entry where they differ, with both sides."""
+    if lhs == rhs:
+        return None
+    if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
+        return f"{where}shape {lhs.rows}x{lhs.cols} != {rhs.rows}x{rhs.cols}"
+    i, j = next((i, j) for i in range(lhs.rows) for j in range(lhs.cols)
+                if lhs[i, j] != rhs[i, j])
+    return f"{where}entry ({i},{j}): {lhs[i, j]} != {rhs[i, j]}"
+
+
+def _diagonal_invertible(G: MatrixPolynomial, where=""):
+    """None when the constant matrix G is diagonal with no zero on the
+    diagonal, else a witness."""
+    n = G.rows
+    return (_mismatch(G, MatrixPolynomial.diagonal(
+        [G[i, i] for i in range(n)], var=G.var), where)
+        or next((f"{where}entry ({i},{i}) is 0" for i in range(n)
+                 if G[i, i].is_zero()), None))
+
+
+def _first(witnesses):
+    return next((w for w in witnesses if w), None)
+
+
+def _column(values) -> MatrixPolynomial:
+    return MatrixPolynomial.from_constant_rows([[x] for x in values])
 
 
 def verify_rows(ell: int, wmax: int):
-    """Run the full identity suite; yields (label, ok) pairs in a fixed
-    order.  Labels name the identity being checked, not where it is used."""
+    """Run the full identity suite; yields (label, witness) pairs in a fixed
+    order, with witness None when the identity holds and otherwise a short
+    string naming where it failed.  Labels name the identity being checked,
+    not where it is used."""
     st = build_structures(ell)
     n = ell + 1
+    ws = range(wmax + 1)
     neg_v0 = MatrixPolynomial.diagonal([-j * (j + 1) for j in range(n)],
                                        var="u")
     yield ("(C0+C1)*U = U*diag(-j(j+1))",
-           (st.C0 + st.C1) * st.U == st.U * neg_v0)
+           _mismatch((st.C0 + st.C1) * st.U, st.U * neg_v0))
     yield ("U**U diagonal with entries (j+l+1)!(l-j)!/((2j+1) l! l!)",
-           st.U.conjugate_transpose() * st.U == st.UstarU)
+           _mismatch(st.U.conjugate_transpose() * st.U, st.UstarU))
     yield ("Uinv*A0*U = Q0+Q1",
-           st.Uinv * st.A0 * st.U == st.Q0 + st.Q1)
+           _mismatch(st.Uinv * st.A0 * st.U, st.Q0 + st.Q1))
     yield ("Uinv*(C1+C0)*U = -V0",
-           st.Uinv * (st.C1 + st.C0) * st.U == -st.V0)
+           _mismatch(st.Uinv * (st.C1 + st.C0) * st.U, -st.V0))
     eye = MatrixPolynomial.identity(n)
     yield ("Uinv*(C1-C0)*U = Q1*J - Q0*(J+1)",
-           st.Uinv * (st.C1 - st.C0) * st.U
-           == st.Q1 * st.J - st.Q0 * (st.J + eye))
+           _mismatch(st.Uinv * (st.C1 - st.C0) * st.U,
+                     st.Q1 * st.J - st.Q0 * (st.J + eye)))
 
-    ok = True
-    for w in range(wmax + 1):
-        for k in range(n):
-            if coeffs_by_recursion(ell, w, k).a != coeffs_by_racah(
-                    ell, w, k).a:
-                ok = False
-    yield ("coefficient recursion = Racah closed form", ok)
-
-    ok = True
-    for w in range(wmax + 1):
+    racah = tail = None
+    for w in ws:
         for k in range(n):
             a = coeffs_by_recursion(ell, w, k).a
-            if any(not a[j].is_zero() for j in range(w + k + 1, n)):
-                ok = False
-    yield ("coefficient tail a_j = 0 for j > w+k", ok)
+            where = f"w={w} k={k} "
+            racah = racah or _mismatch(
+                _column(a), _column(coeffs_by_racah(ell, w, k).a), where)
+            tail = tail or _mismatch(
+                _column(a),
+                _column(x if j <= w + k else ZERO for j, x in enumerate(a)),
+                where)
+    yield ("coefficient recursion = Racah closed form", racah)
+    yield ("coefficient tail a_j = 0 for j > w+k", tail)
 
     fam = build_family(ell, wmax)
     Dbar = build_operator("Dbar", ell)
     Ebar = build_operator("Ebar", ell)
     Dtilde = build_operator("Dtilde", ell)
     Etilde = build_operator("Etilde", ell)
-    checks = {"Dbar*P_w = P_w*Lambda_w": True,
-              "Ebar*P_w = P_w*M_w": True,
-              "Dtilde*Pt_w = Pt_w*Lambda_w": True,
-              "Etilde*Pt_w = Pt_w*M_w": True,
-              "deg Pt_w = w with invertible diagonal leading coeff": True}
-    for w in range(wmax + 1):
-        Lam, Mu = _eigmats(ell, w)
-        if apply(Dbar, fam.Pw[w]) != fam.Pw[w] * Lam:
-            checks["Dbar*P_w = P_w*Lambda_w"] = False
-        if apply(Ebar, fam.Pw[w]) != fam.Pw[w] * Mu:
-            checks["Ebar*P_w = P_w*M_w"] = False
-        if apply(Dtilde, fam.PwTilde[w]) != fam.PwTilde[w] * Lam:
-            checks["Dtilde*Pt_w = Pt_w*Lambda_w"] = False
-        if apply(Etilde, fam.PwTilde[w]) != fam.PwTilde[w] * Mu:
-            checks["Etilde*Pt_w = Pt_w*M_w"] = False
+    eig = {(w, name): MatrixPolynomial.diagonal(
+        [getattr(eigen_ledger(ell, w, k), name) for k in range(n)])
+        for w in ws for name in ("lam", "mu")}
+    for label, op, P, name in (
+            ("Dbar*P_w = P_w*Lambda_w", Dbar, fam.Pw, "lam"),
+            ("Ebar*P_w = P_w*M_w", Ebar, fam.Pw, "mu"),
+            ("Dtilde*Pt_w = Pt_w*Lambda_w", Dtilde, fam.PwTilde, "lam"),
+            ("Etilde*Pt_w = Pt_w*M_w", Etilde, fam.PwTilde, "mu")):
+        yield (label, _first(_mismatch(apply(op, P[w]), P[w] * eig[w, name],
+                                       f"w={w} ") for w in ws))
+    deg = None
+    for w in ws:
         Pt = fam.PwTilde[w]
-        if Pt.degree() != w:
-            checks["deg Pt_w = w with invertible diagonal leading coeff"] \
-                = False
-        lead = Pt.coefficient_matrix(w)
-        for i in range(n):
-            for j in range(n):
-                good = (not lead[i][j].is_zero()) if i == j \
-                    else lead[i][j].is_zero()
-                if not good:
-                    checks["deg Pt_w = w with invertible diagonal leading "
-                           "coeff"] = False
-    for label, good in checks.items():
-        yield (label, good)
+        deg = deg or (
+            f"w={w} degree {Pt.degree()} != {w}" if Pt.degree() != w
+            else _diagonal_invertible(MatrixPolynomial.from_constant_rows(
+                Pt.coefficient_matrix(w)), f"w={w} leading coeff "))
+    yield ("deg Pt_w = w with invertible diagonal leading coeff", deg)
 
     conjD = conjugate(Dbar, fam.Psi, fam.PsiInv)
     yield ("PsiInv*Dbar*Psi = Dtilde",
-           conjD.A2 == Dtilde.A2 and conjD.A1 == Dtilde.A1
-           and conjD.A0 == Dtilde.A0)
+           _mismatch(conjD.A2, Dtilde.A2, "A2 ")
+           or _mismatch(conjD.A1, Dtilde.A1, "A1 ")
+           or _mismatch(conjD.A0, Dtilde.A0, "A0 "))
     conjE = conjugate(Ebar, fam.Psi, fam.PsiInv)
     yield ("PsiInv*Ebar*Psi = Etilde",
-           conjE.A1 == Etilde.A1 and conjE.A0 == Etilde.A0)
+           _mismatch(conjE.A1, Etilde.A1, "A1 ")
+           or _mismatch(conjE.A0, Etilde.A0, "A0 "))
     yield ("[Dbar, Ebar] = 0 on monomials to degree 12",
-           commutator_check(Dbar, Ebar, 12))
+           None if commutator_check(Dbar, Ebar, 12)
+           else "nonzero on some u^d e_j with d <= 12")
 
     W = build_weight(ell)
-    images = {w: weighted_image(fam.PwTilde[w], W) for w in range(wmax + 1)}
-    ok_off = True
-    ok_diag = True
-    for w1 in range(wmax + 1):
-        for w2 in range(wmax + 1):
+    images = {w: weighted_image(fam.PwTilde[w], W) for w in ws}
+    zero = MatrixPolynomial.zeros(n, n)
+    off = diag = None
+    for w1 in ws:
+        for w2 in ws:
             G = inner_product_against_image(fam.PwTilde[w2], images[w1])
-            if w1 != w2 and not G.is_zero():
-                ok_off = False
-            if w1 == w2:
-                for i in range(n):
-                    for j in range(n):
-                        c = G[i, j].constant_term()
-                        if i == j and c.is_zero():
-                            ok_diag = False
-                        if i != j and not c.is_zero():
-                            ok_diag = False
-    yield ("<Pt_w, Pt_w'> = 0 for w != w'", ok_off)
-    yield ("<Pt_w, Pt_w> diagonal and invertible", ok_diag)
+            if w1 != w2:
+                off = off or _mismatch(G, zero, f"w={w1} w'={w2} ")
+            else:
+                diag = diag or _diagonal_invertible(G, f"w={w1} ")
+    yield ("<Pt_w, Pt_w'> = 0 for w != w'", off)
+    yield ("<Pt_w, Pt_w> diagonal and invertible", diag)
+    # column k of U diag(1, 0, ..., 0) P_w(1) is H_{w,k}(1), which must be
+    # (1, ..., 1); then tr Phi(e) = l+1
+    e00 = MatrixPolynomial.diagonal([1] + [0] * ell)
+    ones = MatrixPolynomial.from_constant_rows([[1] * n] * n)
+    at_one = {w: MatrixPolynomial.from_constant_rows(
+        fam.Pw[w].evaluate_exact(GaussianRational(1))) for w in ws}
     yield ("trace normalization equals l+1",
-           trace_norm_check(ell) == ell + 1)
-    yield ("Dtilde symmetric on the family",
-           symmetry_check(Dtilde, W, fam, wmax))
-    yield ("Etilde symmetric on the family",
-           symmetry_check(Etilde, W, fam, wmax))
+           _first(_mismatch(st.U * e00 * at_one[w], ones, f"w={w} ")
+                  for w in ws))
+    for label, op in (("Dtilde symmetric on the family", Dtilde),
+                      ("Etilde symmetric on the family", Etilde)):
+        yield (label, None if symmetry_check(op, W, fam, wmax)
+               else "<op F, G> != <F, op G> for some F, G among Pt_w")
     L, Dg, Uf = ldu_decompose(W)
     yield ("LDU reassembly equals the weight polynomial part",
-           L * Dg * Uf == W.poly_part)
+           _mismatch(L * Dg * Uf, W.poly_part))
     dim, basis, reduction = commutant(W)
     if reduction is None:
-        yield ("commutant dimension and block reduction", dim == 1)
+        witness = None if dim == 1 else f"dimension {dim} != 1"
     else:
-        yield ("commutant dimension and block reduction",
-               dim >= 2 and block_offdiagonal_is_zero(
-                   W, reduction.R, reduction.block_sizes))
+        witness = None if block_offdiagonal_is_zero(
+            W, reduction.R, reduction.block_sizes) else (
+            f"dimension {dim}: R* W R has a nonzero off-diagonal block for "
+            f"block sizes {reduction.block_sizes}")
+    yield ("commutant dimension and block reduction", witness)
 
 
 def _cmd_verify(args):
     failures = 0
-    for label, ok in verify_rows(args.ell, args.wmax):
-        status = "PASS" if ok else "FAIL"
-        print(f"{status}  {label}")
-        if not ok:
+    for label, witness in verify_rows(args.ell, args.wmax):
+        if witness is None:
+            print(f"PASS  {label}")
+        else:
+            print(f"FAIL  {label}\n      {witness}")
             failures += 1
     print(f"{'all checks passed' if not failures else f'{failures} failed'}"
           f" (ell={args.ell}, wmax={args.wmax})")
@@ -214,16 +232,14 @@ def _cmd_verify(args):
 def _cmd_gram(args):
     fam = build_family(args.ell, args.wmax)
     W = build_weight(args.ell)
+    grams = [inner_product(fam.PwTilde[w], fam.PwTilde[w], W)
+             for w in range(args.wmax + 1)]
     if args.csv:
-        for w in range(args.wmax + 1):
-            G = inner_product(fam.PwTilde[w], fam.PwTilde[w], W)
+        for w, G in enumerate(grams):
             sys.stdout.write(f"# w={w}\n")
             constant_matrix_csv(G, sys.stdout)
         return 0
-    doc = {}
-    for w in range(args.wmax + 1):
-        G = inner_product(fam.PwTilde[w], fam.PwTilde[w], W)
-        doc[str(w)] = matpoly_to_json(G)
+    doc = {str(w): matpoly_to_json(G) for w, G in enumerate(grams)}
     json.dump({"ell": args.ell, "gram": doc}, sys.stdout, indent=2,
               sort_keys=True)
     sys.stdout.write("\n")
@@ -231,10 +247,15 @@ def _cmd_gram(args):
 
 
 def _cmd_weight(args):
+    texts = args.sample.split(",")
+    us = [float(t) for t in texts]
+    for t, u in zip(texts, us):
+        if not -1.0 <= u <= 1.0:
+            raise ValueError(f"--sample value {t!r} is not a number in "
+                             "[-1, 1]")
     W = build_weight(args.ell)
     samples = []
-    for utxt in args.sample.split(","):
-        u = float(utxt)
+    for u in us:
         pref = (2.0 / np.pi) * np.sqrt(max(0.0, 1.0 - u * u))
         vals = W.poly_part.evaluate(u)
         samples.append({
@@ -339,7 +360,7 @@ def build_parser():
     p = add("weight", _cmd_weight, help="numeric weight samples")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--sample", required=True,
-                   help="comma-separated u values in (-1, 1)")
+                   help="comma-separated u values in [-1, 1]")
 
     p = add("reduce", _cmd_reduce,
             help="commutant basis and block reduction")

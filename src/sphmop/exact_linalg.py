@@ -6,7 +6,7 @@ exact pivots; no scaling concerns since there is no round-off.
 
 from __future__ import annotations
 
-from .gaussian import GaussianRational, ZERO, ONE
+from .gaussian import ZERO, ONE
 
 
 def mat_copy(m):
@@ -29,10 +29,6 @@ def mat_mul(a, b):
 
 def mat_identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_conj_transpose(m):

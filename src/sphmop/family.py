@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .gaussian import GaussianRational, ZERO, ONE, I
+from .gaussian import GaussianRational, ZERO, ONE
 from .polynomials import Polynomial, MatrixPolynomial
-from .hypergeometric import (HypergeometricSpec, hyp_terminating,
-                             hyp2f1_poly_u, racah_value, pochhammer)
+from .hypergeometric import hyp2f1_poly_u, racah_value, pochhammer
 from .structure import build_L, build_structures, eigen_ledger
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .gaussian import GaussianRational, ZERO, ONE
+from .gaussian import GaussianRational, ONE
 from .polynomials import Polynomial
 
 

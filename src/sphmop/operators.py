@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gaussian import GaussianRational, ZERO, ONE, I
+from .gaussian import GaussianRational, ZERO
 from .polynomials import (Polynomial, MatrixPolynomial,
                           matpoly_inverse_triangular)
 from .structure import build_structures, eigen_ledger

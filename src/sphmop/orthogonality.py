@@ -32,19 +32,24 @@ class WeightMatrix:
     poly_part: MatrixPolynomial
 
 
+def _weight_diagonal(ell: int):
+    """The entries c_j (1-u^2)^j of the diagonal middle factor of the
+    weight, with c_j the diagonal of U*U."""
+    st = build_structures(ell)
+    one_minus_u2 = Polynomial([1, 0, -1], var="u")
+    entries = []
+    pw = Polynomial.constant(1, var="u")
+    for j in range(ell + 1):
+        entries.append(pw * st.UstarU[j, j].constant_term())
+        pw = pw * one_minus_u2
+    return entries
+
+
 @lru_cache(maxsize=None)
 def build_weight(ell: int) -> WeightMatrix:
     from .family import build_Pw
-    st = build_structures(ell)
     Psi = build_Pw(ell, 0)
-    one_minus_u2 = Polynomial([1, 0, -1], var="u")
-    mid_entries = []
-    pw = Polynomial.constant(1, var="u")
-    for j in range(ell + 1):
-        c = st.UstarU[j, j].constant_term()
-        mid_entries.append(pw * c)
-        pw = pw * one_minus_u2
-    mid = MatrixPolynomial.diagonal(mid_entries, var="u")
+    mid = MatrixPolynomial.diagonal(_weight_diagonal(ell), var="u")
     poly_part = Psi.conjugate_transpose() * mid * Psi
     return WeightMatrix(ell=ell, poly_part=poly_part)
 
@@ -62,16 +67,6 @@ def chebyshev_moment(m: int) -> Fraction:
         return Fraction(0)
     t = m // 2
     return Fraction(factorial(2 * t), 4 ** t * factorial(t) * factorial(t + 1))
-
-
-def integrate_poly(p: Polynomial) -> GaussianRational:
-    """Integrate a polynomial in u against the measure, exactly."""
-    acc = ZERO
-    for m, c in enumerate(p.coeffs):
-        w = chebyshev_moment(m)
-        if w:
-            acc = acc + c * GaussianRational(w)
-    return acc
 
 
 @lru_cache(maxsize=None)
@@ -122,19 +117,6 @@ def inner_product(F: MatrixPolynomial, G: MatrixPolynomial,
     return inner_product_against_image(G, weighted_image(F, W))
 
 
-def gram_matrix(family, W: WeightMatrix, w1: int, w2: int) -> MatrixPolynomial:
-    return inner_product(family.PwTilde[w1], family.PwTilde[w2], W)
-
-
-def trace_norm_check(ell: int) -> Fraction:
-    """Norm of the all-ones vector pair under the scalar measure: the
-    integrand is the constant ell+1, so the exact answer must be ell+1."""
-    total = Fraction(0)
-    for _ in range(ell + 1):
-        total += chebyshev_moment(0)
-    return total
-
-
 def symmetry_check(op, W: WeightMatrix, family, w_max: int) -> bool:
     """True iff <op F, G> = <F, op G> exactly for all F, G among the
     orthogonal family members up to degree w_max."""
@@ -161,7 +143,6 @@ def ldu_decompose(W: WeightMatrix):
     """
     from .family import build_Pw
     ell = W.ell
-    st = build_structures(ell)
     Psi = build_Pw(ell, 0)
     delta = []
     for j in range(ell + 1):
@@ -174,14 +155,9 @@ def ldu_decompose(W: WeightMatrix):
         ell + 1, ell + 1, lambda i, j: Psi[i, j] * (ONE / delta[i]), var="u"
     )
     L = Uf.conjugate_transpose()
-    one_minus_u2 = Polynomial([1, 0, -1], var="u")
-    dg = []
-    pw = Polynomial.constant(1, var="u")
-    for j in range(ell + 1):
-        c = st.UstarU[j, j].constant_term()
-        dg.append(pw * (delta[j] * delta[j].conjugate() * c))
-        pw = pw * one_minus_u2
-    Dg = MatrixPolynomial.diagonal(dg, var="u")
+    Dg = MatrixPolynomial.diagonal(
+        [p * (d * d.conjugate())
+         for p, d in zip(_weight_diagonal(ell), delta)], var="u")
     return L, Dg, Uf
 
 

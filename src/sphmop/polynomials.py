@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .gaussian import GaussianRational, ZERO, ONE
+from .gaussian import GaussianRational, ZERO
 
 
 def _coerce(x) -> GaussianRational:
@@ -66,11 +66,6 @@ class Polynomial:
 
     def constant_term(self) -> GaussianRational:
         return self.coefficient(0)
-
-    def leading_coefficient(self) -> GaussianRational:
-        if not self.coeffs:
-            return ZERO
-        return self.coeffs[-1]
 
     def _check_var(self, other: "Polynomial"):
         if self.var != other.var:
@@ -177,19 +172,6 @@ class Polynomial:
         return " + ".join(terms)
 
 
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Ring operation dispatcher kept for the public API surface."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_derivative(p: Polynomial) -> Polynomial:
-    return p.derivative()
-
-
 class MatrixPolynomial:
     """Rectangular matrix with Polynomial entries sharing one variable tag.
 
@@ -267,9 +249,6 @@ class MatrixPolynomial:
     def __getitem__(self, ij) -> Polynomial:
         i, j = ij
         return self.entries[i * self.cols + j]
-
-    def row(self, i):
-        return [self[i, j] for j in range(self.cols)]
 
     def column(self, j) -> "MatrixPolynomial":
         return MatrixPolynomial([[self[i, j]] for i in range(self.rows)],
@@ -349,11 +328,6 @@ class MatrixPolynomial:
         return MatrixPolynomial.from_function(
             self.rows, self.cols, lambda i, j: self[i, j].derivative(),
             var=self.var,
-        )
-
-    def transpose(self) -> "MatrixPolynomial":
-        return MatrixPolynomial.from_function(
-            self.cols, self.rows, lambda i, j: self[j, i], var=self.var
         )
 
     def conjugate_transpose(self) -> "MatrixPolynomial":

@@ -1,10 +1,8 @@
 """Command-line interface: exit codes, determinism, and output formats."""
 
 import json
-import io
 
 import numpy as np
-import pytest
 
 from sphmop import cli
 from sphmop.gaussian import parse_gaussian
@@ -27,11 +25,13 @@ class TestExitCodes:
         assert "FAIL" not in out
 
     def test_verify_reports_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "verify_rows",
-                            lambda ell, wmax: iter([("broken", False)]))
+        monkeypatch.setattr(
+            cli, "verify_rows",
+            lambda ell, wmax: iter([("broken", "w=0 entry (0,0): 1 != 0")]))
         code, out, err = run(capsys, "verify", "--ell", "2", "--wmax", "1")
         assert code == 1
-        assert "FAIL  broken" in out
+        assert out.splitlines()[:2] == ["FAIL  broken",
+                                        "      w=0 entry (0,0): 1 != 0"]
 
     def test_negative_ell(self, capsys):
         code, out, err = run(capsys, "structures", "--ell", "-1")
@@ -51,13 +51,52 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    def test_weight_sample_out_of_range(self, capsys):
+        for sample in ("2.0", "0.5,-1.5", "nan", "inf", "0.0,-inf", "x"):
+            code, out, err = run(capsys, "weight", "--ell", "2",
+                                 "--sample", sample)
+            assert code == 2, sample
+            assert out == "" and "error" in err, sample
+
     def test_odd_ell_warns(self, capsys):
         code, out, err = run(capsys, "eigen", "--ell", "1", "--wmax", "1")
         assert code == 0
         assert "odd ell" in err
 
 
+VERIFY_ELL2_WMAX2 = """\
+PASS  (C0+C1)*U = U*diag(-j(j+1))
+PASS  U**U diagonal with entries (j+l+1)!(l-j)!/((2j+1) l! l!)
+PASS  Uinv*A0*U = Q0+Q1
+PASS  Uinv*(C1+C0)*U = -V0
+PASS  Uinv*(C1-C0)*U = Q1*J - Q0*(J+1)
+PASS  coefficient recursion = Racah closed form
+PASS  coefficient tail a_j = 0 for j > w+k
+PASS  Dbar*P_w = P_w*Lambda_w
+PASS  Ebar*P_w = P_w*M_w
+PASS  Dtilde*Pt_w = Pt_w*Lambda_w
+PASS  Etilde*Pt_w = Pt_w*M_w
+PASS  deg Pt_w = w with invertible diagonal leading coeff
+PASS  PsiInv*Dbar*Psi = Dtilde
+PASS  PsiInv*Ebar*Psi = Etilde
+PASS  [Dbar, Ebar] = 0 on monomials to degree 12
+PASS  <Pt_w, Pt_w'> = 0 for w != w'
+PASS  <Pt_w, Pt_w> diagonal and invertible
+PASS  trace normalization equals l+1
+PASS  Dtilde symmetric on the family
+PASS  Etilde symmetric on the family
+PASS  LDU reassembly equals the weight polynomial part
+PASS  commutant dimension and block reduction
+all checks passed (ell=2, wmax=2)
+"""
+
+
 class TestDeterminism:
+    def test_verify_report_is_pinned(self, capsys):
+        # row labels and their order are part of the output contract
+        assert run(capsys, "verify", "--ell", "2", "--wmax", "2") \
+            == (0, VERIFY_ELL2_WMAX2, "")
+
     def test_verify_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "verify", "--ell", "2", "--wmax", "4")
         _, out2, _ = run(capsys, "verify", "--ell", "2", "--wmax", "4")

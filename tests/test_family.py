@@ -7,8 +7,10 @@ import pytest
 from sphmop.gaussian import GaussianRational, ZERO, ONE, I
 from sphmop.polynomials import MatrixPolynomial, matpoly_det
 from sphmop.family import (coeffs_by_recursion, coeffs_by_racah, build_Pw,
-                           build_family, eval_H, psi_entry_reference)
+                           eval_H, psi_entry_reference)
 from sphmop.structure import build_L, eigen_ledger
+
+from conftest import GRID_ELLS, verify_row
 
 
 class TestCoefficients:
@@ -50,18 +52,13 @@ class TestCoefficients:
 
     def test_recursion_matches_racah(self):
         for ell in (0, 1, 2, 4):
-            for w in range(5):
-                for k in range(ell + 1):
-                    assert coeffs_by_recursion(ell, w, k).a \
-                        == coeffs_by_racah(ell, w, k).a
+            assert verify_row(ell, 4, "coefficient recursion = Racah "
+                                      "closed form") is None
 
     def test_vanishing_tail(self):
         for ell in (2, 4, 6):
-            for w in range(3):
-                for k in range(ell + 1):
-                    a = coeffs_by_recursion(ell, w, k).a
-                    for j in range(w + k + 1, ell + 1):
-                        assert a[j].is_zero()
+            assert verify_row(ell, 2, "coefficient tail a_j = 0 for "
+                                      "j > w+k") is None
 
     def test_a_vector_is_L_eigenvector(self):
         for ell in (1, 2, 4):
@@ -119,18 +116,10 @@ class TestPackages:
             assert fam.Psi * fam.PsiInv == MatrixPolynomial.identity(n)
             assert fam.Pw[0] == fam.Psi
 
-    def test_tilde_degree_and_leading_coefficient(self, families):
-        for ell, fam in families.items():
-            n = ell + 1
-            for w, Pt in fam.PwTilde.items():
-                assert Pt.degree() == w
-                lead = Pt.coefficient_matrix(w)
-                for i in range(n):
-                    for j in range(n):
-                        if i == j:
-                            assert not lead[i][j].is_zero()
-                        else:
-                            assert lead[i][j].is_zero()
+    def test_tilde_degree_and_leading_coefficient(self):
+        for ell in GRID_ELLS:
+            assert verify_row(ell, 4, "deg Pt_w = w with invertible "
+                                      "diagonal leading coeff") is None
 
 
 class TestEvalH:

@@ -15,13 +15,6 @@ from sphmop.operators import (build_operator, apply, conjugate,
 from sphmop import exact_linalg
 
 
-def eig_matrices(ell, w):
-    lams = [eigen_ledger(ell, w, k).lam for k in range(ell + 1)]
-    mus = [eigen_ledger(ell, w, k).mu for k in range(ell + 1)]
-    return (MatrixPolynomial.diagonal(lams, var="u"),
-            MatrixPolynomial.diagonal(mus, var="u"))
-
-
 class TestBuildAndApply:
     def test_ell0_operators(self):
         D = build_operator("Dtilde", 0)
@@ -49,19 +42,6 @@ class TestBuildAndApply:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             build_operator("nope", 2)
-
-    def test_eigen_identities(self, families):
-        for ell, fam in families.items():
-            Dbar = build_operator("Dbar", ell)
-            Ebar = build_operator("Ebar", ell)
-            Dtilde = build_operator("Dtilde", ell)
-            Etilde = build_operator("Etilde", ell)
-            for w in (0, 1, 3):
-                Lam, Mu = eig_matrices(ell, w)
-                assert apply(Dbar, fam.Pw[w]) == fam.Pw[w] * Lam
-                assert apply(Ebar, fam.Pw[w]) == fam.Pw[w] * Mu
-                assert apply(Dtilde, fam.PwTilde[w]) == fam.PwTilde[w] * Lam
-                assert apply(Etilde, fam.PwTilde[w]) == fam.PwTilde[w] * Mu
 
     def test_endpoint_derivative_relation(self, families):
         # evaluating the second-order eigen equation at u = 1 forces

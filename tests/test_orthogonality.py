@@ -1,16 +1,17 @@
 """Weight matrix, exact inner products, symmetry, LDU, and commutant."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
+from sphmop import cli
+from sphmop.family import build_family
 from sphmop.gaussian import GaussianRational, ZERO
 from sphmop.polynomials import MatrixPolynomial
 from sphmop.operators import build_operator, MatrixODEOperator
 from sphmop.polynomials import Polynomial
-from sphmop.orthogonality import (build_weight, chebyshev_moment,
-                                  inner_product, trace_norm_check,
+from sphmop.orthogonality import (chebyshev_moment, inner_product,
                                   symmetry_check, ldu_decompose, commutant,
                                   block_offdiagonal_is_zero)
 
@@ -72,10 +73,22 @@ class TestInnerProduct:
                         else:
                             assert c.is_zero()
 
-    def test_trace_normalization(self):
-        assert trace_norm_check(0) == 1
-        assert trace_norm_check(2) == 3
-        assert trace_norm_check(6) == 7
+    def test_trace_normalization(self, monkeypatch):
+        # the verify row checks H_{w,k}(1) = (1, ..., 1) for every column k;
+        # a constant multiple of P_w keeps every other identity, so only
+        # this row can catch it
+        def failing():
+            return [(label, w) for label, w in cli.verify_rows(2, 1) if w]
+
+        assert failing() == []
+
+        def scaled_family(ell, wmax):
+            fam = build_family(ell, wmax)
+            return dataclasses.replace(fam, Pw={**fam.Pw, 1: fam.Pw[1] * 2})
+
+        monkeypatch.setattr(cli, "build_family", scaled_family)
+        assert failing() == [("trace normalization equals l+1",
+                              "w=1 entry (0,0): 2 != 1")]
 
 
 class TestSymmetry:

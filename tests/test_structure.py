@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from sphmop.gaussian import GaussianRational, I, ZERO
-from sphmop.polynomials import MatrixPolynomial
 from sphmop.structure import (build_structures, build_L, eigen_ledger,
                               eigen_ledger_from_rep)
 from sphmop import exact_linalg
+
+from conftest import verify_row
 
 
 def as_ints(M):
@@ -66,27 +67,21 @@ class TestBuildStructures:
 
 
 class TestHahnDiagonalization:
+    # the Hahn rows of `verify`, run past the acceptance grid to ell = 8
     def test_U_columns_are_eigenvectors(self):
         for ell in range(9):
-            st = build_structures(ell)
-            T = st.C0 + st.C1
-            for j in range(ell + 1):
-                col = st.U.column(j)
-                assert T * col == col.scale(-j * (j + 1))
+            assert verify_row(ell, 0, "(C0+C1)*U = U*diag(-j(j+1))") is None
 
     def test_UstarU_matches_closed_form(self):
+        label = "U**U diagonal with entries (j+l+1)!(l-j)!/((2j+1) l! l!)"
         for ell in range(9):
-            st = build_structures(ell)
-            assert st.U.conjugate_transpose() * st.U == st.UstarU
+            assert verify_row(ell, 0, label) is None
 
     def test_conjugation_identities(self):
         for ell in range(9):
-            st = build_structures(ell)
-            eye = MatrixPolynomial.identity(ell + 1)
-            assert st.Uinv * st.A0 * st.U == st.Q0 + st.Q1
-            assert st.Uinv * (st.C1 + st.C0) * st.U == -st.V0
-            assert st.Uinv * (st.C1 - st.C0) * st.U \
-                == st.Q1 * st.J - st.Q0 * (st.J + eye)
+            for label in ("Uinv*A0*U = Q0+Q1", "Uinv*(C1+C0)*U = -V0",
+                          "Uinv*(C1-C0)*U = Q1*J - Q0*(J+1)"):
+                assert verify_row(ell, 0, label) is None
 
 
 class TestMatrixL:
