@@ -133,7 +133,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to int and Fraction values, so hashes must agree with theirs
+        return hash(self.re) if not self.im else hash((self.re, self.im))
 
     # -- conversion ----------------------------------------------------
 
@@ -188,28 +189,18 @@ def format_gaussian(z: GaussianRational) -> str:
 
 
 def parse_gaussian(text: str) -> GaussianRational:
-    """Inverse of :func:`format_gaussian`."""
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty Gaussian-rational literal")
-    # split into at most two signed terms
-    terms = []
-    start = 0
-    for idx in range(1, len(s)):
-        if s[idx] in "+-" and s[idx - 1] not in "+-/*":
-            terms.append(s[start:idx])
-            start = idx
-    terms.append(s[start:])
-    re = Fraction(0)
-    im = Fraction(0)
-    for term in terms:
-        if term.endswith("*i") or term.endswith("i"):
-            body = term[:-2] if term.endswith("*i") else term[:-1]
-            if body in ("", "+"):
-                body = "1"
-            elif body == "-":
-                body = "-1"
-            im += Fraction(body)
-        else:
-            re += Fraction(term)
-    return GaussianRational(re, im)
+    """Inverse of :func:`format_gaussian`: accepts exactly the strings it
+    emits and raises ValueError on any other."""
+    re_text, im_text = text, "0"
+    if text.endswith("*i"):
+        # the imaginary part starts at the last sign, or at the start
+        cut = max(text.rfind("+"), text.rfind("-"), 0)
+        re_text, im_text = text[:cut] or "0", text[cut:-2]
+    try:
+        z = GaussianRational(Fraction(re_text), Fraction(im_text))
+    except (ValueError, ZeroDivisionError):
+        z = None
+    if z is None or format_gaussian(z) != text:
+        raise ValueError(
+            f"not a canonical Gaussian-rational literal: {text!r}")
+    return z

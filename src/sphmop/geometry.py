@@ -111,17 +111,18 @@ def phi_pi(rep: RepSO3, g: np.ndarray) -> np.ndarray:
 
 
 def section_matrix(y: np.ndarray) -> np.ndarray:
-    """A rotation carrying (||y||, 0, 0) to y, from an explicit chart that
-    excludes the ray y1 <= 0, y2 = y3 = 0."""
+    """A rotation carrying (||y||, 0, 0) to y, from two charts: an explicit
+    one on y1 >= 0, and for y1 < 0 that chart at the antipode -y composed
+    with the rotation by pi about e3, which turns e1 to -e1.  Each chart
+    divides by ||y|| + |y1| >= ||y||, so neither loses accuracy near the
+    ray y2 = y3 = 0."""
     y = np.asarray(y, dtype=float)
     norm = np.linalg.norm(y)
     if norm < 1e-13:
         return np.eye(3)
     y1, y2, y3 = y
-    if abs(y2) < 1e-13 and abs(y3) < 1e-13 and y1 <= 0:
-        # excluded ray of the chart: any rotation by pi about an axis in
-        # the plane orthogonal to e1 works
-        return np.diag([-1.0, -1.0, 1.0])
+    if y1 < 0:
+        return section_matrix(-y) @ np.diag([-1.0, -1.0, 1.0])
     d = norm + y1
     A = np.array([
         [y1, -y2, -y3],

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussian import GaussianRational, ZERO
-from .polynomials import (Polynomial, MatrixPolynomial,
+from .polynomials import (Polynomial, MatrixPolynomial, mismatch,
                           matpoly_inverse_triangular)
 from .structure import build_structures, eigen_ledger
 from . import exact_linalg
@@ -126,27 +126,21 @@ def conjugate(op: MatrixODEOperator, Psi: MatrixPolynomial,
     return MatrixODEOperator(order=1, A2=None, A1=A1, A0=A0)
 
 
-def _monomial_vector(n, j, d):
-    """Column vector u^d e_j."""
-    return MatrixPolynomial(
-        [[Polynomial([0] * d + [1], var="u") if i == j
-          else Polynomial.zero("u")] for i in range(n)],
-        var="u",
-    )
-
-
 def commutator_check(opA: MatrixODEOperator, opB: MatrixODEOperator,
-                     degree_bound: int) -> bool:
-    """True iff the operators commute on every monomial vector u^d e_j with
-    d <= degree_bound.  Complete for polynomial-coefficient operators once
-    the bound exceeds the coefficient degrees plus two."""
-    n = opA.A1.rows
-    for j in range(n):
-        for d in range(degree_bound + 1):
-            F = _monomial_vector(n, j, d)
-            if apply(opA, apply(opB, F)) != apply(opB, apply(opA, F)):
-                return False
-    return True
+                     degree_bound: int):
+    """None when the operators commute on every monomial vector u^d e_j
+    with d <= degree_bound, else a witness naming d and the first entry
+    where they differ (column j of u^d I is u^d e_j).  Complete for
+    polynomial-coefficient operators once the bound exceeds the coefficient
+    degrees plus two."""
+    eye = MatrixPolynomial.identity(opA.A1.rows)
+    for d in range(degree_bound + 1):
+        F = eye.scale(Polynomial([0] * d + [1], var="u"))
+        witness = mismatch(apply(opA, apply(opB, F)),
+                           apply(opB, apply(opA, F)), f"u^{d} e_j: ")
+        if witness:
+            return witness
+    return None
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import factorial
 
 from .gaussian import GaussianRational, ZERO, ONE, I
-from .polynomials import Polynomial, MatrixPolynomial
+from .polynomials import Polynomial, MatrixPolynomial, mismatch
 from .structure import build_structures
 from . import exact_linalg
 
@@ -117,21 +117,24 @@ def inner_product(F: MatrixPolynomial, G: MatrixPolynomial,
     return inner_product_against_image(G, weighted_image(F, W))
 
 
-def symmetry_check(op, W: WeightMatrix, family, w_max: int) -> bool:
-    """True iff <op F, G> = <F, op G> exactly for all F, G among the
-    orthogonal family members up to degree w_max."""
+def symmetry_check(op, members, images):
+    """None when <op F, G> = <F, op G> exactly for all F, G among members,
+    else a witness naming the first pair and entry where it fails.
+
+    images[a] must be poly_part * members[a].  Each T(a, b) = <F_a, op F_b>
+    is computed once; since poly_part is Hermitian,
+    <op F_a, F_b> = T(b, a)*, so the identity is T(a, b) = T(b, a)*."""
     from .operators import apply
-    members = [family.PwTilde[w] for w in range(w_max + 1)]
-    images = [apply(op, F) for F in members]
-    member_Y = [weighted_image(F, W) for F in members]
-    image_Y = [weighted_image(F, W) for F in images]
+    ops = [apply(op, F) for F in members]
+    T = [[inner_product_against_image(ops[b], images[a])
+          for b in range(len(members))] for a in range(len(members))]
     for a in range(len(members)):
-        for b in range(len(members)):
-            lhs = inner_product_against_image(members[b], image_Y[a])
-            rhs = inner_product_against_image(images[b], member_Y[a])
-            if lhs != rhs:
-                return False
-    return True
+        for b in range(a + 1):
+            witness = mismatch(T[a][b], T[b][a].conjugate_transpose(),
+                               f"w={a} w'={b} ")
+            if witness:
+                return witness
+    return None
 
 
 def ldu_decompose(W: WeightMatrix):
@@ -302,21 +305,14 @@ def commutant(W: WeightMatrix):
 
 
 def block_offdiagonal_is_zero(W: WeightMatrix, R: MatrixPolynomial,
-                              block_sizes) -> bool:
-    """Check that R* poly_part R has exact zero off-diagonal blocks for the
-    given partition of the columns."""
+                              block_sizes):
+    """None when R* poly_part R has exact zero off-diagonal blocks for the
+    given partition of the columns, else a witness naming the first nonzero
+    off-diagonal entry."""
     conj = R.conjugate_transpose() * W.poly_part * R
-    bounds = []
-    start = 0
-    for b in block_sizes:
-        bounds.append((start, start + b))
-        start += b
-    for bi, (r0, r1) in enumerate(bounds):
-        for bj, (c0, c1) in enumerate(bounds):
-            if bi == bj:
-                continue
-            for i in range(r0, r1):
-                for j in range(c0, c1):
-                    if not conj[i, j].is_zero():
-                        return False
-    return True
+    block = [b for b, size in enumerate(block_sizes) for _ in range(size)]
+    diagonal_blocks = MatrixPolynomial.from_function(
+        conj.rows, conj.cols,
+        lambda i, j: conj[i, j] if block[i] == block[j]
+        else Polynomial.zero(conj.var), var=conj.var)
+    return mismatch(conj, diagonal_blocks, "R* W R ")

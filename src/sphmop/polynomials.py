@@ -154,6 +154,9 @@ class Polynomial:
         return self.var == other.var and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant polynomial equals its scalar, so it hashes like it
+        if self.is_constant():
+            return hash(self.constant_term())
         return hash((self.var, self.coeffs))
 
     def __repr__(self):
@@ -367,6 +370,18 @@ class MatrixPolynomial:
         rows = [", ".join(repr(self[i, j]) for j in range(self.cols))
                 for i in range(self.rows)]
         return "[" + "; ".join(rows) + "]"
+
+
+def mismatch(lhs: MatrixPolynomial, rhs: MatrixPolynomial, where=""):
+    """None when the two matrices are equal, else a witness naming the first
+    entry where they differ, with both sides."""
+    if lhs == rhs:
+        return None
+    if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
+        return f"{where}shape {lhs.rows}x{lhs.cols} != {rhs.rows}x{rhs.cols}"
+    i, j = next((i, j) for i in range(lhs.rows) for j in range(lhs.cols)
+                if lhs[i, j] != rhs[i, j])
+    return f"{where}entry ({i},{j}): {lhs[i, j]} != {rhs[i, j]}"
 
 
 def matpoly_det(M: MatrixPolynomial) -> Polynomial:

@@ -58,6 +58,13 @@ class TestExitCodes:
             assert code == 2, sample
             assert out == "" and "error" in err, sample
 
+    def test_reconstruct_theta_not_finite(self, capsys):
+        for theta in ("nan", "inf", "0.0,-inf", "x"):
+            code, out, err = run(capsys, "reconstruct", "--ell", "2", "--w",
+                                 "1", "--k", "1", "--theta", theta)
+            assert code == 2, theta
+            assert out == "" and "error" in err, theta
+
     def test_odd_ell_warns(self, capsys):
         code, out, err = run(capsys, "eigen", "--ell", "1", "--wmax", "1")
         assert code == 0

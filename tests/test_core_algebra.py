@@ -53,6 +53,18 @@ class TestGaussianRational:
     def test_serialization_roundtrip(self, z):
         assert parse_gaussian(format_gaussian(z)) == z
 
+    @pytest.mark.parametrize("text", [
+        "1+2", "i+i", "1e3", "2i", "1.5", "", " 1", "2/4", "+1", "-0",
+        "1/0", "+2*i", "0+1*i", "1+0*i", "*i"])
+    def test_parse_rejects_non_canonical(self, text):
+        with pytest.raises(ValueError):
+            parse_gaussian(text)
+
+    def test_hash_agrees_with_equality(self):
+        assert len({GaussianRational(3), 3, Fraction(3)}) == 1
+        assert hash(GaussianRational(Fraction(1, 2))) == hash(Fraction(1, 2))
+        assert len({Polynomial.constant(3), 3}) == 1
+
 
 class TestPolynomial:
     def test_arith_examples(self):

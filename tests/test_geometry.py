@@ -20,6 +20,12 @@ def rotation_y(theta):
     return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
 
 
+def rotation_z(theta):
+    """Rotation about the third axis, mixing coordinates 1 and 2."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
 class TestCover:
     def test_identity_and_center(self):
         a, b = geo.wedge_cover(np.eye(4))
@@ -107,12 +113,15 @@ class TestRepresentation:
 
 class TestSection:
     def test_carries_pole_to_target(self, rng):
-        for _ in range(20):
-            y = rng.standard_normal(3)
+        # the last three inputs lie on or next to the ray y1 < 0,
+        # y2 = y3 = 0, where a single explicit chart loses accuracy
+        near_ray = [(-1.0, 1e-6, 0.0), (-1.0, 1e-9, 0.0), (-2.0, 0.0, 0.0)]
+        for y in [*rng.standard_normal((20, 3)), *np.array(near_ray)]:
             A = geo.section_matrix(y)
-            geo.check_rotation(A)
+            assert np.max(np.abs(A.T @ A - np.eye(3))) < 1e-12
+            assert abs(np.linalg.det(A) - 1.0) < 1e-12
             n = np.linalg.norm(y)
-            assert np.max(np.abs(A @ np.array([n, 0, 0]) - y)) < 1e-9
+            assert np.max(np.abs(A @ np.array([n, 0, 0]) - y)) < 1e-12
 
     def test_excluded_ray_fallback(self):
         A = geo.section_matrix(np.array([-2.0, 0.0, 0.0]))
@@ -150,6 +159,30 @@ class TestReconstruction:
                    @ geo.reconstruct_phi(2, 1, 1, g)
                    @ geo.rep_exp(rep, k2))
             assert np.max(np.abs(lhs - rhs)) < 1e-7
+
+    def test_near_excluded_ray(self):
+        # coset points g e4 whose first three coordinates lie 1e-4 and 1e-9
+        # off the ray x1 < 0, x2 = x3 = 0: the value is finite and
+        # bi-equivariant like anywhere else
+        rng = np.random.default_rng(7)
+        rep = geo.RepSO3(2)
+        theta = 1.0
+        for offset in (1e-4, 1e-9):
+            delta = np.arcsin(offset / np.sin(theta))
+            g = (geo.embed_so3(rotation_z(np.pi - delta))
+                 @ geo.plane_rotation_14(theta)
+                 @ geo.embed_so3(geo.random_rotation(rng, 3)))
+            x = g[:3, 3]
+            assert x[0] < 0 and abs(np.hypot(x[1], x[2]) - offset) < 1e-15
+            phi = geo.reconstruct_phi(2, 1, 1, g)
+            assert np.all(np.isfinite(phi))
+            for _ in range(10):
+                k1 = geo.random_rotation(rng, 3)
+                k2 = geo.random_rotation(rng, 3)
+                lhs = geo.reconstruct_phi(
+                    2, 1, 1, geo.embed_so3(k1) @ g @ geo.embed_so3(k2))
+                rhs = geo.rep_exp(rep, k1) @ phi @ geo.rep_exp(rep, k2)
+                assert np.max(np.abs(lhs - rhs)) < 1e-7
 
     def test_central_parity(self, rng):
         # Phi(-g) = (-1)^(w+k) Phi(g): the center acts by the parity of w+k

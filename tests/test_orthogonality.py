@@ -8,12 +8,11 @@ import numpy as np
 from sphmop import cli
 from sphmop.family import build_family
 from sphmop.gaussian import GaussianRational, ZERO
-from sphmop.polynomials import MatrixPolynomial
-from sphmop.operators import build_operator, MatrixODEOperator
-from sphmop.polynomials import Polynomial
+from sphmop.operators import apply, build_operator, MatrixODEOperator
+from sphmop.polynomials import MatrixPolynomial, Polynomial, mismatch
 from sphmop.orthogonality import (chebyshev_moment, inner_product,
                                   symmetry_check, ldu_decompose, commutant,
-                                  block_offdiagonal_is_zero)
+                                  block_offdiagonal_is_zero, weighted_image)
 
 
 class TestChebyshevMoments:
@@ -91,12 +90,19 @@ class TestInnerProduct:
                               "w=1 entry (0,0): 2 != 1")]
 
 
+def members_and_images(fam, W, w_max):
+    members = [fam.PwTilde[w] for w in range(w_max + 1)]
+    return members, [weighted_image(F, W) for F in members]
+
+
 class TestSymmetry:
     def test_tilde_operators_symmetric(self, families, weights):
         for ell in (1, 2):
+            members, images = members_and_images(families[ell],
+                                                 weights[ell], 5)
             for name in ("Dtilde", "Etilde"):
-                assert symmetry_check(build_operator(name, ell),
-                                      weights[ell], families[ell], 5)
+                assert symmetry_check(build_operator(name, ell), members,
+                                      images) is None
 
     def test_skew_multiplication_not_symmetric(self, families, weights):
         iu = Polynomial([ZERO, GaussianRational(0, 1)], var="u")
@@ -106,7 +112,35 @@ class TestSymmetry:
             A1=MatrixPolynomial.zeros(2, 2),
             A0=MatrixPolynomial.identity(2).scale(iu),
         )
-        assert not symmetry_check(op, weights[1], families[1], 2)
+        members, images = members_and_images(families[1], weights[1], 2)
+        assert symmetry_check(op, members, images) \
+            == "w=0 w'=0 entry (0,1): -1/2*i != 1/2*i"
+
+    def test_agrees_with_two_sided_oracle(self, families, weights):
+        # symmetry_check computes <F_a, op F_b> once per pair and relies on
+        # poly_part being Hermitian; the oracle computes both sides of
+        # <op F_a, F_b> = <F_a, op F_b> for every ordered pair
+        for ell in (1, 2, 4):
+            W = weights[ell]
+            members, images = members_and_images(families[ell], W, 4)
+            ws = range(len(members))
+            corner = MatrixPolynomial.from_constant_rows(
+                [[int((i, j) == (0, ell)) for j in range(ell + 1)]
+                 for i in range(ell + 1)])
+            for name in ("Dtilde", "Etilde"):
+                base = build_operator(name, ell)
+                for op in (base, dataclasses.replace(base,
+                                                     A0=base.A0 + corner)):
+                    ops = [apply(op, F) for F in members]
+                    lhs = [[inner_product(ops[a], members[b], W)
+                            for b in ws] for a in ws]
+                    rhs = [[inner_product(members[a], ops[b], W)
+                            for b in ws] for a in ws]
+                    first = next(filter(None, (
+                        mismatch(rhs[a][b], lhs[a][b], f"w={a} w'={b} ")
+                        for a in ws for b in range(a + 1))), None)
+                    assert symmetry_check(op, members, images) == first
+                    assert (first is None) == (lhs == rhs) == (op is base)
 
     def test_eigenvalue_form_of_symmetry(self, families, weights):
         # symmetry against the family is equivalent to the Gram blocks
@@ -189,4 +223,10 @@ class TestCommutant:
             assert sum(red.block_sizes) == ell + 1
             assert len(red.block_sizes) >= 2
             assert block_offdiagonal_is_zero(weights[ell], red.R,
-                                             red.block_sizes)
+                                             red.block_sizes) is None
+        # the identity does not reduce the weight: its off-diagonal block
+        # at ell = 2 is W[0, 1:] itself
+        red = commutant(weights[2])[2]
+        assert block_offdiagonal_is_zero(
+            weights[2], MatrixPolynomial.identity(3), red.block_sizes) \
+            == "R* W R entry (0,1): (3)*u != 0"
