@@ -1,7 +1,8 @@
 """Exact dense linear algebra over the Gaussian rationals.
 
-Works on plain nested lists of GaussianRational.  Gaussian elimination with
-exact pivots; no scaling concerns since there is no round-off.
+Works on plain nested lists of GaussianRational.  One Gauss-Jordan
+elimination (`rref`) with exact pivots; rank, nullspace, solve and invert
+all read their answers off the reduced row echelon form it leaves.
 """
 
 from __future__ import annotations
@@ -36,99 +37,79 @@ def mat_conj_transpose(m):
     return [[m[i][j].conjugate() for i in range(rows)] for j in range(cols)]
 
 
-def row_echelon(m):
-    """In-place row echelon form; returns the list of pivot column indices."""
+def rref(m):
+    """In-place reduced row echelon form; returns the pivot column indices.
+
+    Each pivot row is scaled to a leading one, then its column is cleared
+    above and below, touching only the pivot row's nonzero columns.
+    """
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
     pivots = []
-    piv_r = 0
     for piv_c in range(n_cols):
+        piv_r = len(pivots)
         for i_row in range(piv_r, n_rows):
             if not m[i_row][piv_c].is_zero():
                 break
         else:
             continue
-        if i_row != piv_r:
-            m[piv_r], m[i_row] = m[i_row], m[piv_r]
-        fp = m[piv_r][piv_c]
-        for r in range(piv_r + 1, n_rows):
+        m[piv_r], m[i_row] = m[i_row], m[piv_r]
+        prow = m[piv_r]
+        inv = ONE / prow[piv_c]
+        support = [c for c in range(piv_c, n_cols) if not prow[c].is_zero()]
+        for c in support:
+            prow[c] = prow[c] * inv
+        for r in range(n_rows):
             fr = m[r][piv_c]
-            if fr.is_zero():
+            if r == piv_r or fr.is_zero():
                 continue
-            factor = fr / fp
-            for c in range(piv_c, n_cols):
-                m[r][c] = m[r][c] - m[piv_r][c] * factor
+            row = m[r]
+            for c in support:
+                row[c] = row[c] - prow[c] * fr
         pivots.append(piv_c)
-        piv_r += 1
     return pivots
 
 
 def rank(m):
-    return len(row_echelon(mat_copy(m)))
+    return len(rref(mat_copy(m)))
 
 
 def nullspace(m):
-    """Basis of the right null space, as a list of column vectors."""
+    """Basis of the right null space, as a list of column vectors: one per
+    free column, with 1 there and 0 in every other free column."""
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
     work = mat_copy(m)
-    pivots = row_echelon(work)
-    free_cols = [c for c in range(n_cols) if c not in pivots]
+    pivots = rref(work)
     basis = []
-    for fc in free_cols:
+    for fc in [c for c in range(n_cols) if c not in pivots]:
         vec = [ZERO] * n_cols
         vec[fc] = ONE
-        # back-substitute through the pivot rows
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = ZERO
-            for c in range(pc + 1, n_cols):
-                s = s + work[r][c] * vec[c]
-            vec[pc] = -s / work[r][pc]
+        for r, pc in enumerate(pivots):
+            vec[pc] = -work[r][fc]
         basis.append(vec)
     return basis
 
 
 def solve(m, rhs):
-    """Solve m x = rhs exactly; rhs is a vector.  Returns one solution or
-    raises ValueError if inconsistent."""
+    """Solve m x = rhs exactly; rhs is a vector.  Returns the solution whose
+    free unknowns are all 0, or raises ValueError if inconsistent."""
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
     work = [row[:] + [rhs[i]] for i, row in enumerate(m)]
-    pivots = row_echelon(work)
+    pivots = rref(work)
     if n_cols in pivots:
         raise ValueError("inconsistent linear system")
     x = [ZERO] * n_cols
-    for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        s = work[r][n_cols]
-        for c in range(pc + 1, n_cols):
-            s = s - work[r][c] * x[c]
-        x[pc] = s / work[r][pc]
+    for r, pc in enumerate(pivots):
+        x[pc] = work[r][n_cols]
     return x
 
 
 def invert(m):
-    """Exact inverse of a square matrix by Gauss-Jordan elimination."""
+    """Exact inverse of a square matrix: the right half of rref([m | I])."""
     n = len(m)
-    work = [row[:] + mat_identity(n)[i] for i, row in enumerate(m)]
-    piv_r = 0
-    for piv_c in range(n):
-        for i_row in range(piv_r, n):
-            if not work[i_row][piv_c].is_zero():
-                break
-        else:
-            raise ValueError("matrix is singular")
-        if i_row != piv_r:
-            work[piv_r], work[i_row] = work[i_row], work[piv_r]
-        fp = work[piv_r][piv_c]
-        work[piv_r] = [x / fp for x in work[piv_r]]
-        for r in range(n):
-            if r == piv_r:
-                continue
-            fr = work[r][piv_c]
-            if fr.is_zero():
-                continue
-            work[r] = [x - y * fr for x, y in zip(work[r], work[piv_r])]
-        piv_r += 1
+    work = [row[:] + e for row, e in zip(m, mat_identity(n))]
+    if rref(work)[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
     return [row[n:] for row in work]

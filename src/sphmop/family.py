@@ -27,9 +27,6 @@ class CoefficientVector:
     k: int
     a: tuple
 
-    def __iter__(self):
-        return iter(self.a)
-
 
 def coeffs_by_recursion(ell: int, w: int, k: int) -> CoefficientVector:
     """Solve the three-term recursion forward from a_0 = 1.

@@ -37,6 +37,8 @@ def check_rotation(g: np.ndarray, tol: float = 1e-9):
     n = g.shape[0]
     if g.shape != (n, n) or n not in (3, 4):
         raise ValueError("expected a 3x3 or 4x4 matrix")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("matrix has a non-finite entry")
     if np.max(np.abs(g.T @ g - np.eye(n))) > tol:
         raise ValueError("matrix is not orthogonal within tolerance")
     if abs(np.linalg.det(g) - 1.0) > tol:

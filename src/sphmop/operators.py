@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussian import GaussianRational, ZERO
-from .polynomials import (Polynomial, MatrixPolynomial, mismatch,
-                          matpoly_inverse_triangular)
+from .polynomials import Polynomial, MatrixPolynomial, mismatch
 from .structure import build_structures, eigen_ledger
 from . import exact_linalg
 
@@ -103,7 +102,7 @@ def apply(op: MatrixODEOperator, F: MatrixPolynomial) -> MatrixPolynomial:
 
 
 def conjugate(op: MatrixODEOperator, Psi: MatrixPolynomial,
-              PsiInv: MatrixPolynomial | None = None) -> MatrixODEOperator:
+              PsiInv: MatrixPolynomial) -> MatrixODEOperator:
     """The operator G -> Psi^{-1} op(Psi G), with polynomial coefficients.
 
     Expanding derivatives of Psi G by the Leibniz rule gives, for order 2,
@@ -112,8 +111,6 @@ def conjugate(op: MatrixODEOperator, Psi: MatrixPolynomial,
     Psi must be upper triangular with constant nonzero diagonal so that
     Psi^{-1}, and hence every coefficient, is again polynomial.
     """
-    if PsiInv is None:
-        PsiInv = matpoly_inverse_triangular(Psi)
     dPsi = Psi.derivative()
     if op.order == 2:
         A2 = PsiInv * (op.A2 * Psi)

@@ -210,24 +210,15 @@ def _minimal_polynomial(B):
     powers = [exact_linalg.mat_identity(n)]
     for _ in range(n):
         powers.append(exact_linalg.mat_mul(powers[-1], B))
-    for deg in range(1, n + 1):
-        # look for coefficients x with sum x_t B^t + B^deg = 0
-        rows = []
-        rhs = []
-        for i in range(n):
-            for j in range(n):
-                rows.append([powers[t][i][j] for t in range(deg)])
-                rhs.append(-powers[deg][i][j])
-        try:
-            x = exact_linalg.solve(rows, rhs)
-        except ValueError:
-            continue
-        coeffs = [xi.re for xi in x] + [Fraction(1)]
-        for xi in x:
-            if xi.im:
-                raise ArithmeticError("minimal polynomial is not rational")
-        return coeffs
-    raise ArithmeticError("no minimal polynomial found")
+    # columns vec(B^0) ... vec(B^n): the first dependent one sits at the
+    # degree of the minimal polynomial, and all later ones stay dependent
+    cols = [[P[i][j] for P in powers] for i in range(n) for j in range(n)]
+    deg = exact_linalg.rank(cols)
+    x = exact_linalg.solve([row[:deg] for row in cols],
+                           [-row[deg] for row in cols])
+    if any(xi.im for xi in x):
+        raise ArithmeticError("minimal polynomial is not rational")
+    return [xi.re for xi in x] + [Fraction(1)]
 
 
 @dataclass(frozen=True)

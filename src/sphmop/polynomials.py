@@ -151,7 +151,10 @@ class Polynomial:
             other = Polynomial.constant(other, var=self.var)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
+        # a constant equals its scalar under any tag, so constants compare
+        # by value; otherwise equality would not be transitive
+        return self.coeffs == other.coeffs and (
+            self.var == other.var or len(self.coeffs) <= 1)
 
     def __hash__(self):
         # a constant polynomial equals its scalar, so it hashes like it

@@ -131,27 +131,17 @@ def build_structures(ell: int) -> StructureSet:
                         UstarU=UstarU)
 
 
-def build_L(ell: int, n=None, lam=None) -> MatrixPolynomial:
+def build_L(ell: int, n: int) -> MatrixPolynomial:
     """Tridiagonal matrix L at the spectral point lambda = -n(n+2).
 
-    Pass either the integer n or lam = -n(n+2) directly; the subdiagonal
-    depends on n through the factors (n-j+1)(n+j+1) = (n+1)^2 - j^2, which
-    for a given lam is -(lam + 1 - j^2) rewritten below without taking a
-    square root: (n+1)^2 = 1 - lam.
+    The subdiagonal depends on n through the factors (n-j+1)(n+j+1).
     """
-    if n is None:
-        if lam is None:
-            raise ValueError("give n or lam")
-        lam = Fraction(lam) if not isinstance(lam, GaussianRational) else lam.re
-        np1sq = 1 - lam
-    else:
-        np1sq = Fraction((n + 1) ** 2)
     size = ell + 1
     entries = {}
     for j in range(1, size):
         entries[(j, j - 1)] = I * GaussianRational(
             Fraction(j * (ell - j + 1), 2 * (2 * j - 1) * (2 * j + 1))
-        ) * GaussianRational(np1sq - j * j)
+        ) * GaussianRational((n - j + 1) * (n + j + 1))
     for j in range(size):
         entries[(j, j)] = GaussianRational(Fraction(-j * (j + 1), 2))
     for j in range(size - 1):

@@ -50,6 +50,12 @@ class TestExitCodes:
         code, out, err = run(capsys, "cover", str(bad))
         assert code == 2
         assert "error" in err
+        for entry in ("NaN", "Infinity", "-Infinity"):
+            bad.write_text("[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,%s]]"
+                           % entry)
+            code, out, err = run(capsys, "cover", str(bad))
+            assert code == 2, entry
+            assert out == "" and "error" in err, entry
 
     def test_weight_sample_out_of_range(self, capsys):
         for sample in ("2.0", "0.5,-1.5", "nan", "inf", "0.0,-inf", "x"):
@@ -181,6 +187,17 @@ class TestOutputFormats:
         doc = json.loads(out)
         assert doc["dimension"] == 2
         assert doc["block_sizes"] == [1, 2]
+        # the commutant basis is the canonical nullspace basis: one vector
+        # per free column, so the reduction is pinned entry by entry
+        code, out, err = run(capsys, "reduce", "--ell", "4")
+        doc = json.loads(out)
+        eye = [["1" if i == j else "0" for j in range(5)] for i in range(5)]
+        assert doc["basis"] == [eye[::-1], eye]
+        assert doc["block_sizes"] == [2, 3]
+        R = [[int(p[0]) if p else 0 for p in row]
+             for row in doc["R"]["entries"]]
+        assert R == [[0, -1, 0, 0, 1], [-1, 0, 0, 1, 0], [0, 0, 1, 0, 0],
+                     [1, 0, 0, 1, 0], [0, 1, 0, 0, 1]]
 
     def test_reconstruct_meridian(self, capsys):
         code, out, err = run(capsys, "reconstruct", "--ell", "2", "--w", "1",

@@ -84,6 +84,14 @@ class TestPolynomial:
         with pytest.raises(ValueError):
             Polynomial([1], "u") + Polynomial([1], "s")
 
+    def test_constant_equality_is_transitive(self):
+        a, b = Polynomial.constant(3, "u"), Polynomial.constant(3, "s")
+        assert a == b
+        assert len({a, 3, b}) == 1
+        assert len({3, a, b}) == 1
+        assert Polynomial.zero("u") == Polynomial.zero("s")
+        assert Polynomial.variable("u") != Polynomial.variable("s")
+
     def test_trailing_zeros_stripped(self):
         p = Polynomial([1, 2, 0, 0])
         assert p.degree() == 1

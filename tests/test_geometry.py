@@ -65,6 +65,15 @@ class TestCover:
         with pytest.raises(ValueError):
             geo.wedge_cover(np.eye(3))
 
+    def test_rejects_non_finite(self):
+        # NaN compares false with every tolerance, so it must be caught first
+        for n in (3, 4):
+            for bad in (np.nan, np.inf, -np.inf):
+                g = np.eye(n)
+                g[n - 1, n - 1] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    geo.check_rotation(g)
+
 
 class TestRepresentation:
     def test_commutation_relations(self):

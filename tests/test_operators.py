@@ -79,7 +79,7 @@ class TestConjugation:
     def test_conjugate_by_identity(self):
         op = build_operator("Dbar", 2)
         eye = MatrixPolynomial.identity(3)
-        conj = conjugate(op, eye)
+        conj = conjugate(op, eye, eye)
         assert (conj.A2, conj.A1, conj.A0) == (op.A2, op.A1, op.A0)
 
 

@@ -99,11 +99,6 @@ class TestMatrixL:
         # (n - ell + 1) vanishes
         assert out[2].is_zero() and vec[2].is_zero()
 
-    def test_lam_and_n_agree(self):
-        for ell in (1, 2, 4):
-            for n in range(5):
-                assert build_L(ell, n=n) == build_L(ell, lam=-n * (n + 2))
-
     def test_geometric_multiplicity_one(self):
         # L - mu I has rank ell for every ledger eigenvalue
         for ell in (1, 2, 4):
