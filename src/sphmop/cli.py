@@ -166,7 +166,10 @@ def verify_rows(ell: int, wmax: int):
 
     W = build_weight(ell)
     members = [fam.PwTilde[w] for w in ws]
-    images = [weighted_image(F, W) for F in members]
+    # deep enough for op Pt_w even when a faulty op raises the degree
+    rise = max((A.degree() or 0) - i for op in (Dtilde, Etilde)
+               for i, A in enumerate((op.A0, op.A1, op.A2)) if A is not None)
+    images = [weighted_image(F, W, wmax + max(rise, 0)) for F in members]
     zero = MatrixPolynomial.zeros(n, n)
     off = diag = None
     for w1 in ws:
@@ -308,7 +311,10 @@ def _cmd_reconstruct(args):
 
 def _cmd_cover(args):
     with open(args.matrix) as fh:
-        g = np.array(json.load(fh), dtype=float)
+        try:
+            g = np.array(json.load(fh), dtype=float)
+        except (TypeError, ValueError):   # an object, a string, ragged
+            raise ValueError("expected a 4x4 nested list of numbers")
     a, b = geometry.wedge_cover(g)
     json.dump({"a": a.tolist(), "b": b.tolist()}, sys.stdout, indent=2)
     sys.stdout.write("\n")

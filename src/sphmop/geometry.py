@@ -34,9 +34,9 @@ _BASIS = _SQ * np.array([
 
 def check_rotation(g: np.ndarray, tol: float = 1e-9):
     g = np.asarray(g, dtype=float)
-    n = g.shape[0]
-    if g.shape != (n, n) or n not in (3, 4):
+    if g.shape not in ((3, 3), (4, 4)):
         raise ValueError("expected a 3x3 or 4x4 matrix")
+    n = len(g)
     if not np.all(np.isfinite(g)):
         raise ValueError("matrix has a non-finite entry")
     if np.max(np.abs(g.T @ g - np.eye(n))) > tol:

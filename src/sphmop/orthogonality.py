@@ -1,9 +1,9 @@
 """The matrix weight, exact inner products, Gram matrices, operator
 symmetry, LDU decomposition, and commutant analysis.
 
-The measure is (2/pi) sqrt(1-u^2) du on [-1, 1]; its even moments are
-rational, so every integral of a polynomial integrand is computed exactly
-by expanding in monomials.
+The measure is (2/pi) sqrt(1-u^2) du on [-1, 1]; its moments are rational,
+so inner products are exact finite sums over the weight's constant moment
+matrices M_m = integral of u^m poly_part(u) against the measure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import exact_linalg
 @dataclass(frozen=True)
 class WeightMatrix:
     """Polynomial part of the weight; the scalar prefactor
-    (2/pi) sqrt(1-u^2) is carried by the moment rule, not stored.
+    (2/pi) sqrt(1-u^2) is carried by the moments (weighted_image).
 
     poly_part = Psi* diag(c_j (1-u^2)^j) Psi with the constants c_j from
     the diagonal matrix U*U; it is Hermitian as a polynomial matrix.
@@ -69,42 +69,33 @@ def chebyshev_moment(m: int) -> Fraction:
     return Fraction(factorial(2 * t), 4 ** t * factorial(t) * factorial(t + 1))
 
 
-@lru_cache(maxsize=None)
-def _moment_scalar(m: int) -> GaussianRational:
-    return GaussianRational(chebyshev_moment(m))
+def weighted_image(F: MatrixPolynomial, W: WeightMatrix, depth: int):
+    """The moment image Y_j = sum_a M_{a+j} F_a, j <= depth, of F, with F_a
+    the coefficient matrices of F and M_m = sum_k W_k mu_{m+k} the weight's
+    moment matrices (W_k those of poly_part, mu = chebyshev_moment).  Then
+    <F, G> = sum_j G_j* Y_j for deg G <= depth: the expensive half of an
+    inner product, worth sharing when one F meets many partners."""
+    P, top = W.poly_part, F.degree() or 0
+    mu = [chebyshev_moment(m) for m in range(top + depth + P.degree() + 1)]
+    M = [[[sum((c * mu[m + k] for k, c in enumerate(P[i, j].coeffs)), ZERO)
+           for j in range(P.cols)] for i in range(P.rows)]
+         for m in range(top + depth + 1)]
+    Fs = [row for a in range(top + 1) for row in F.coefficient_matrix(a)]
+    return [exact_linalg.mat_mul(
+        [[x for a in range(top + 1) for x in M[a + j][i]]
+         for i in range(P.rows)], Fs) for j in range(depth + 1)]
 
 
-def _integral_sesquilinear(p: Polynomial, q: Polynomial) -> GaussianRational:
-    """Exact value of the integral of conj(p) q against the measure,
-    summed coefficient pair by coefficient pair (odd total powers drop)."""
-    acc = ZERO
-    for a, pa in enumerate(p.coeffs):
-        if pa.is_zero():
-            continue
-        pac = pa.conjugate()
-        for b, qb in enumerate(q.coeffs):
-            if (a + b) % 2 or qb.is_zero():
-                continue
-            acc = acc + pac * qb * _moment_scalar(a + b)
-    return acc
-
-
-def weighted_image(F: MatrixPolynomial, W: WeightMatrix) -> MatrixPolynomial:
-    """The product poly_part * F; the expensive half of an inner product,
-    worth sharing when one F meets many partners."""
-    return W.poly_part * F
-
-
-def inner_product_against_image(G: MatrixPolynomial,
-                                Y: MatrixPolynomial) -> MatrixPolynomial:
-    """<F, G> given Y = poly_part * F, without forming the full product
-    polynomial G* Y: each entry only needs the integral."""
-    n = Y.rows
-    return MatrixPolynomial.from_constant_rows(
-        [[sum((_integral_sesquilinear(G[t, i], Y[t, j]) for t in range(n)),
-              ZERO)
-          for j in range(Y.cols)] for i in range(G.cols)]
-    )
+def inner_product_against_image(G: MatrixPolynomial, Y) -> MatrixPolynomial:
+    """<F, G> = sum_j G_j* Y_j from the moment image Y of F; ValueError when
+    deg G exceeds the depth of Y, rather than dropping the terms past it."""
+    top = G.degree() or 0
+    if top >= len(Y):
+        raise ValueError(f"partner degree {top} > image depth {len(Y) - 1}")
+    Gs = [row for j in range(top + 1) for row in G.coefficient_matrix(j)]
+    Ys = [row for Yj in Y[:top + 1] for row in Yj]
+    return MatrixPolynomial.from_constant_rows(exact_linalg.mat_mul(
+        exact_linalg.mat_conj_transpose(Gs), Ys))
 
 
 def inner_product(F: MatrixPolynomial, G: MatrixPolynomial,
@@ -114,16 +105,18 @@ def inner_product(F: MatrixPolynomial, G: MatrixPolynomial,
     Note the convention: the SECOND argument is conjugated.  The result is
     a constant matrix returned as a MatrixPolynomial.
     """
-    return inner_product_against_image(G, weighted_image(F, W))
+    return inner_product_against_image(
+        G, weighted_image(F, W, G.degree() or 0))
 
 
 def symmetry_check(op, members, images):
     """None when <op F, G> = <F, op G> exactly for all F, G among members,
     else a witness naming the first pair and entry where it fails.
 
-    images[a] must be poly_part * members[a].  Each T(a, b) = <F_a, op F_b>
-    is computed once; since poly_part is Hermitian,
-    <op F_a, F_b> = T(b, a)*, so the identity is T(a, b) = T(b, a)*."""
+    images[a] = weighted_image(members[a], W, depth), depth >= deg op F_b.
+    Each T(a, b) = <F_a, op F_b> is computed once; since poly_part is
+    Hermitian, <op F_a, F_b> = T(b, a)*, so the identity is
+    T(a, b) = T(b, a)*."""
     from .operators import apply
     ops = [apply(op, F) for F in members]
     T = [[inner_product_against_image(ops[b], images[a])

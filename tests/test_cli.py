@@ -7,8 +7,10 @@ import numpy as np
 from sphmop import cli
 from sphmop.gaussian import parse_gaussian
 from sphmop.structure import build_structures
-from sphmop.orthogonality import build_weight, inner_product
+from sphmop.orthogonality import build_weight
 from sphmop.family import build_family
+
+from test_orthogonality import oracle_inner_product
 
 
 def run(capsys, *argv):
@@ -56,6 +58,13 @@ class TestExitCodes:
             code, out, err = run(capsys, "cover", str(bad))
             assert code == 2, entry
             assert out == "" and "error" in err, entry
+        # JSON that is no nested list of numbers: a scalar, null, an
+        # object, a ragged list
+        for text in ("5", "null", '{"a": 1}', "[[1, 2], [3]]"):
+            bad.write_text(text)
+            code, out, err = run(capsys, "cover", str(bad))
+            assert code == 2, text
+            assert out == "" and "error" in err, text
 
     def test_weight_sample_out_of_range(self, capsys):
         for sample in ("2.0", "0.5,-1.5", "nan", "inf", "0.0,-inf", "x"):
@@ -142,10 +151,12 @@ class TestOutputFormats:
         code, out, err = run(capsys, "gram", "--ell", "2", "--wmax", "1")
         doc = json.loads(out)
         assert set(doc["gram"]) == {"0", "1"}
-        G = inner_product(build_family(2, 0).PwTilde[0],
-                          build_family(2, 0).PwTilde[0], build_weight(2))
-        entry = doc["gram"]["0"]["entries"][0][0]
-        assert parse_gaussian(entry[0]) == G[0, 0].constant_term()
+        fam, W = build_family(2, 1), build_weight(2)
+        for w in (0, 1):
+            G = oracle_inner_product(fam.PwTilde[w], fam.PwTilde[w], W)
+            entries = doc["gram"][str(w)]["entries"]
+            assert [[parse_gaussian(e[0]) if e else 0 for e in row]
+                    for row in entries] == G.constant_value()
 
     def test_gram_csv_round_trip(self, capsys):
         code, out, err = run(capsys, "gram", "--ell", "1", "--wmax", "0",
@@ -154,8 +165,8 @@ class TestOutputFormats:
         lines = out.strip().splitlines()
         assert lines[0] == "# w=0"
         assert lines[1] == "row,col,re,im"
-        G = inner_product(build_family(1, 0).PwTilde[0],
-                          build_family(1, 0).PwTilde[0], build_weight(1))
+        P = build_family(1, 0).PwTilde[0]
+        G = oracle_inner_product(P, P, build_weight(1))
         from fractions import Fraction
         for line in lines[2:]:
             i, j, re, im = line.split(",")

@@ -4,6 +4,7 @@ import dataclasses
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from sphmop import cli
 from sphmop.family import build_family
@@ -11,8 +12,18 @@ from sphmop.gaussian import GaussianRational, ZERO
 from sphmop.operators import apply, build_operator, MatrixODEOperator
 from sphmop.polynomials import MatrixPolynomial, Polynomial, mismatch
 from sphmop.orthogonality import (chebyshev_moment, inner_product,
+                                  inner_product_against_image,
                                   symmetry_check, ldu_decompose, commutant,
                                   block_offdiagonal_is_zero, weighted_image)
+
+
+def oracle_inner_product(F, G, W):
+    """<F, G> the long way, sharing no code with the moment path: form the
+    polynomial matrix G* poly_part F and integrate each entry term by term."""
+    H = G.conjugate_transpose() * W.poly_part * F
+    return MatrixPolynomial.from_constant_rows(
+        [[sum((c * chebyshev_moment(m) for m, c in enumerate(H[i, j].coeffs)),
+              ZERO) for j in range(H.cols)] for i in range(H.rows)])
 
 
 class TestChebyshevMoments:
@@ -20,6 +31,12 @@ class TestChebyshevMoments:
         assert chebyshev_moment(0) == 1
         assert chebyshev_moment(1) == 0
         assert chebyshev_moment(2) == Fraction(1, 4)
+        # the moment path reads orders up to 2 wmax + ell; the closed form
+        # must keep the recurrence mu_{2t+2} = mu_{2t} (2t+1)/(2t+4) there
+        for t in range(32):
+            assert chebyshev_moment(2 * t + 1) == 0
+            assert chebyshev_moment(2 * t + 2) \
+                == chebyshev_moment(2 * t) * Fraction(2 * t + 1, 2 * t + 4)
 
     def test_numeric_quadrature_oracle(self):
         # the closed form is bootstrapped against adaptive quadrature of
@@ -50,6 +67,33 @@ class TestInnerProduct:
         one = MatrixPolynomial.identity(1)
         G = inner_product(one, one, weights[0])
         assert G[0, 0].constant_term() == GaussianRational(1)
+
+    def test_agrees_with_polynomial_product_oracle(self, families, weights):
+        for ell in (0, 1, 2, 4):
+            fam, W = families[ell], weights[ell]
+            for w1 in range(7):
+                for w2 in range(7):
+                    F, G = fam.PwTilde[w1], fam.PwTilde[w2]
+                    assert inner_product(F, G, W) \
+                        == oracle_inner_product(F, G, W), (ell, w1, w2)
+        # partners of unequal degree, either one the higher
+        fam, W = families[2], weights[2]
+        uF = fam.PwTilde[3].scale(Polynomial.variable("u"))
+        G = fam.PwTilde[1]
+        assert inner_product(uF, G, W) == oracle_inner_product(uF, G, W)
+        assert inner_product(G, uF, W) == oracle_inner_product(G, uF, W)
+
+    def test_image_depth_guard(self, families, weights):
+        # an image of depth d serves partners up to degree d and refuses
+        # a partner of degree d + 1 instead of truncating it
+        fam, W = families[2], weights[2]
+        F = fam.PwTilde[4]
+        for d in (0, 2, 5):
+            Y = weighted_image(F, W, d)
+            assert inner_product_against_image(fam.PwTilde[d], Y) \
+                == oracle_inner_product(F, fam.PwTilde[d], W)
+            with pytest.raises(ValueError, match="image depth"):
+                inner_product_against_image(fam.PwTilde[d + 1], Y)
 
     def test_family_orthogonality(self, families, weights):
         for ell in (0, 1, 2, 4):
@@ -91,8 +135,10 @@ class TestInnerProduct:
 
 
 def members_and_images(fam, W, w_max):
+    # depth w_max + 1 leaves room for operators that raise the degree by
+    # one, such as multiplication by i u
     members = [fam.PwTilde[w] for w in range(w_max + 1)]
-    return members, [weighted_image(F, W) for F in members]
+    return members, [weighted_image(F, W, w_max + 1) for F in members]
 
 
 class TestSymmetry:
@@ -115,6 +161,23 @@ class TestSymmetry:
         members, images = members_and_images(families[1], weights[1], 2)
         assert symmetry_check(op, members, images) \
             == "w=0 w'=0 entry (0,1): -1/2*i != 1/2*i"
+
+    def test_verify_rows_survive_degree_raising_operator(self, monkeypatch):
+        # u I added to A0 of Dtilde raises deg Dtilde Pt_w by one and keeps
+        # it symmetric: only the eigen and conjugation rows may fail
+        build = cli.build_operator
+
+        def raised(name, ell):
+            op = build(name, ell)
+            if name != "Dtilde":
+                return op
+            u = Polynomial.variable("u")
+            return dataclasses.replace(
+                op, A0=op.A0 + MatrixPolynomial.identity(ell + 1).scale(u))
+
+        monkeypatch.setattr(cli, "build_operator", raised)
+        assert [label for label, w in cli.verify_rows(1, 1) if w] \
+            == ["Dtilde*Pt_w = Pt_w*Lambda_w", "PsiInv*Dbar*Psi = Dtilde"]
 
     def test_agrees_with_two_sided_oracle(self, families, weights):
         # symmetry_check computes <F_a, op F_b> once per pair and relies on
