@@ -2,17 +2,16 @@
 the 3-sphere, with a numeric group-level reconstruction layer."""
 
 from .gaussian import GaussianRational, format_gaussian, parse_gaussian
-from .polynomials import (Polynomial, MatrixPolynomial, matpoly_det,
+from .polynomials import (Polynomial, MatrixPolynomial,
                           matpoly_inverse_triangular)
 from .hypergeometric import (HypergeometricSpec, hyp_terminating, gegenbauer,
                              hahn_value, racah_value)
 from .structure import (StructureSet, build_structures, build_L, EigenLedger,
-                        eigen_ledger, eigen_ledger_from_rep)
+                        eigen_ledger)
 from .family import (CoefficientVector, FamilyPackage, coeffs_by_recursion,
                      coeffs_by_racah, build_Pw, build_family, eval_H)
 from .operators import (MatrixODEOperator, build_operator, apply, conjugate,
-                        commutator_check, hyp_solve, HypSolution,
-                        classify_polynomial_solutions, L_eigensolve)
+                        commutator_check)
 from .orthogonality import (WeightMatrix, build_weight, chebyshev_moment,
                             inner_product, symmetry_check, ldu_decompose,
                             commutant)

@@ -34,7 +34,7 @@ def matpoly_to_json(M: MatrixPolynomial):
     return {
         "rows": M.rows,
         "cols": M.cols,
-        "var": M.var,
+        "var": "u",
         "entries": [[poly_to_json(M[i, j]) for j in range(M.cols)]
                     for i in range(M.rows)],
     }
@@ -78,7 +78,7 @@ def _diagonal_invertible(G: MatrixPolynomial, where=""):
     diagonal, else a witness."""
     n = G.rows
     return (mismatch(G, MatrixPolynomial.diagonal(
-        [G[i, i] for i in range(n)], var=G.var), where)
+        [G[i, i] for i in range(n)]), where)
         or next((f"{where}entry ({i},{i}) is 0" for i in range(n)
                  if G[i, i].is_zero()), None))
 
@@ -99,8 +99,7 @@ def verify_rows(ell: int, wmax: int):
     st = build_structures(ell)
     n = ell + 1
     ws = range(wmax + 1)
-    neg_v0 = MatrixPolynomial.diagonal([-j * (j + 1) for j in range(n)],
-                                       var="u")
+    neg_v0 = MatrixPolynomial.diagonal([-j * (j + 1) for j in range(n)])
     yield ("(C0+C1)*U = U*diag(-j(j+1))",
            mismatch((st.C0 + st.C1) * st.U, st.U * neg_v0))
     yield ("U**U diagonal with entries (j+l+1)!(l-j)!/((2j+1) l! l!)",

@@ -83,7 +83,7 @@ def column_entry(ell: int, w: int, k: int, j: int,
                  a_j: GaussianRational) -> Polynomial:
     """Entry (j, k) of P_w: a_j * 2F1(-w-k+j, w+k+j+2; j+3/2; (1-u)/2)."""
     if a_j.is_zero():
-        return Polynomial.zero("u")
+        return Polynomial.zero()
     f = hyp2f1_poly_u(-(w + k - j), w + k + j + 2, Fraction(2 * j + 3, 2))
     return f * a_j
 
@@ -94,7 +94,6 @@ def build_Pw(ell: int, w: int) -> MatrixPolynomial:
     return MatrixPolynomial.from_function(
         ell + 1, ell + 1,
         lambda j, k: column_entry(ell, w, k, j, cols[k].a[j]),
-        var="u",
     )
 
 
@@ -122,19 +121,6 @@ def build_family(ell: int, w_max: int) -> FamilyPackage:
         PwTilde[w] = PsiInv * Pw[w]
     return FamilyPackage(ell=ell, Psi=Psi, PsiInv=PsiInv, Pw=Pw,
                          PwTilde=PwTilde)
-
-
-def psi_entry_reference(ell: int, j: int, k: int) -> Polynomial:
-    """Independent formula for the Psi entries through Gegenbauer
-    polynomials; used as a test oracle against build_Pw(ell, 0)."""
-    from .hypergeometric import gegenbauer
-    if j > k:
-        return Polynomial.zero("u")
-    c = (GaussianRational(2 * j + 1)
-         * GaussianRational(0, -2) ** j
-         * GaussianRational(Fraction(factorial(k) * factorial(j),
-                                     factorial(k + j + 1))))
-    return gegenbauer(k - j, j + 1) * c
 
 
 def eval_H(ell: int, w: int, k: int, u: float):

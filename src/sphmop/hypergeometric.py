@@ -25,14 +25,15 @@ def _as_rational(x) -> Fraction:
 class HypergeometricSpec:
     """Parameter block for a terminating pFq at a fixed argument.
 
-    The argument is either a GaussianRational or the string "s", in which
-    case evaluation yields a Polynomial in the variable s.
+    The argument is a ring element: a GaussianRational (or a rational), or a
+    Polynomial, in which case evaluation yields a Polynomial.
     """
 
     def __init__(self, numerator, denominator, argument):
         self.numerator = [_as_rational(a) for a in numerator]
         self.denominator = [_as_rational(b) for b in denominator]
-        self.argument = argument
+        self.argument = (argument if isinstance(argument, Polynomial)
+                         else GaussianRational.of(argument))
         self._validate()
 
     def _termination_order(self) -> int:
@@ -54,37 +55,31 @@ class HypergeometricSpec:
 def hyp_terminating(spec: HypergeometricSpec):
     """Sum the terminating series exactly.
 
-    Returns a GaussianRational for a numeric argument, or a Polynomial in s
-    for the symbolic argument "s".  Pochhammer ratios are accumulated
-    incrementally to avoid factorial blowup.
+    Returns a value of the argument's type: a GaussianRational, or a
+    Polynomial.  The rational series coefficients are accumulated as
+    Pochhammer ratios to avoid factorial blowup, then summed by Horner's
+    rule in the argument.
     """
-    n_terms = spec._termination_order()
-    symbolic = spec.argument == "s"
-    if symbolic:
-        z = Polynomial.variable("s")
-        acc = Polynomial.constant(1, var="s")
-        term = Polynomial.constant(1, var="s")
-    else:
-        z = GaussianRational.of(spec.argument) if not isinstance(
-            spec.argument, GaussianRational) else spec.argument
-        acc = ONE
-        term = ONE
-    for m in range(n_terms):
-        ratio = Fraction(1, m + 1)
+    coeffs = [Fraction(1)]
+    for m in range(spec._termination_order()):
+        c = coeffs[-1] / (m + 1)
         for a in spec.numerator:
-            ratio *= a + m
+            c *= a + m
         for b in spec.denominator:
-            ratio /= b + m
-        term = term * z * GaussianRational(ratio)
-        acc = acc + term
+            c /= b + m
+        coeffs.append(c)
+    z = spec.argument
+    one = Polynomial.constant(1) if isinstance(z, Polynomial) else ONE
+    acc = one * coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * z + c
     return acc
 
 
 def hyp2f1_poly_u(a, b, c) -> Polynomial:
     """The terminating 2F1(a, b; c; (1-u)/2) expanded as a Polynomial in u."""
-    p = hyp_terminating(HypergeometricSpec([a, b], [c], "s"))
-    # s = (1-u)/2, exact affine substitution
-    return p.substitute_affine(Fraction(-1, 2), Fraction(1, 2), "u")
+    s = Polynomial([Fraction(1, 2), Fraction(-1, 2)])
+    return hyp_terminating(HypergeometricSpec([a, b], [c], s))
 
 
 def gegenbauer(n: int, lam: int) -> Polynomial:

@@ -36,9 +36,9 @@ def _weight_diagonal(ell: int):
     """The entries c_j (1-u^2)^j of the diagonal middle factor of the
     weight, with c_j the diagonal of U*U."""
     st = build_structures(ell)
-    one_minus_u2 = Polynomial([1, 0, -1], var="u")
+    one_minus_u2 = Polynomial([1, 0, -1])
     entries = []
-    pw = Polynomial.constant(1, var="u")
+    pw = Polynomial.constant(1)
     for j in range(ell + 1):
         entries.append(pw * st.UstarU[j, j].constant_term())
         pw = pw * one_minus_u2
@@ -49,7 +49,7 @@ def _weight_diagonal(ell: int):
 def build_weight(ell: int) -> WeightMatrix:
     from .family import build_Pw
     Psi = build_Pw(ell, 0)
-    mid = MatrixPolynomial.diagonal(_weight_diagonal(ell), var="u")
+    mid = MatrixPolynomial.diagonal(_weight_diagonal(ell))
     poly_part = Psi.conjugate_transpose() * mid * Psi
     return WeightMatrix(ell=ell, poly_part=poly_part)
 
@@ -148,12 +148,12 @@ def ldu_decompose(W: WeightMatrix):
                                  "nonzero constant")
         delta.append(d.constant_term())
     Uf = MatrixPolynomial.from_function(
-        ell + 1, ell + 1, lambda i, j: Psi[i, j] * (ONE / delta[i]), var="u"
+        ell + 1, ell + 1, lambda i, j: Psi[i, j] * (ONE / delta[i])
     )
     L = Uf.conjugate_transpose()
     Dg = MatrixPolynomial.diagonal(
         [p * (d * d.conjugate())
-         for p, d in zip(_weight_diagonal(ell), delta)], var="u")
+         for p, d in zip(_weight_diagonal(ell), delta)])
     return L, Dg, Uf
 
 
@@ -298,5 +298,5 @@ def block_offdiagonal_is_zero(W: WeightMatrix, R: MatrixPolynomial,
     diagonal_blocks = MatrixPolynomial.from_function(
         conj.rows, conj.cols,
         lambda i, j: conj[i, j] if block[i] == block[j]
-        else Polynomial.zero(conj.var), var=conj.var)
+        else Polynomial.zero())
     return mismatch(conj, diagonal_blocks, "R* W R ")

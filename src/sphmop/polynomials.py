@@ -1,9 +1,6 @@
 """Exact univariate polynomials and matrices of them over the Gaussian rationals.
 
-Polynomials carry a variable tag, either "u" (the coordinate on [-1, 1]) or
-"s" (the shifted coordinate s = (1-u)/2).  Tags exist purely to stop the two
-conventions from being mixed silently; substitute_affine converts between
-them exactly.
+Every polynomial is in the coordinate u on [-1, 1].
 """
 
 from __future__ import annotations
@@ -27,29 +24,28 @@ class Polynomial:
     degree() returns None for it.
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, var="u"):
+    def __init__(self, coeffs):
         cs = [_coerce(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "var", var)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @staticmethod
-    def constant(c, var="u") -> "Polynomial":
-        return Polynomial([c], var=var)
+    def constant(c) -> "Polynomial":
+        return Polynomial([c])
 
     @staticmethod
-    def zero(var="u") -> "Polynomial":
-        return Polynomial([], var=var)
+    def zero() -> "Polynomial":
+        return Polynomial([])
 
     @staticmethod
-    def variable(var="u") -> "Polynomial":
-        return Polynomial([0, 1], var=var)
+    def variable() -> "Polynomial":
+        return Polynomial([0, 1])
 
     def degree(self):
         """Degree, or None for the zero polynomial."""
@@ -67,26 +63,18 @@ class Polynomial:
     def constant_term(self) -> GaussianRational:
         return self.coefficient(0)
 
-    def _check_var(self, other: "Polynomial"):
-        if self.var != other.var:
-            raise ValueError(
-                f"variable tag mismatch: {self.var!r} vs {other.var!r}"
-            )
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Polynomial.constant(other, var=self.var)
-        self._check_var(other)
+            other = Polynomial.constant(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial(
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)],
-            var=self.var,
+            [self.coefficient(k) + other.coefficient(k) for k in range(n)]
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs], var=self.var)
+        return Polynomial([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Polynomial) else -_coerce(other))
@@ -97,24 +85,22 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = _coerce(other)
-            return Polynomial([a * c for a in self.coeffs], var=self.var)
-        self._check_var(other)
+            return Polynomial([a * c for a in self.coeffs])
         if self.is_zero() or other.is_zero():
-            return Polynomial.zero(var=self.var)
+            return Polynomial.zero()
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return Polynomial(out, var=self.var)
+        return Polynomial(out)
 
     __rmul__ = __mul__
 
     def derivative(self) -> "Polynomial":
         return Polynomial(
-            [self.coeffs[k] * k for k in range(1, len(self.coeffs))],
-            var=self.var,
+            [self.coeffs[k] * k for k in range(1, len(self.coeffs))]
         )
 
     def __call__(self, x):
@@ -132,35 +118,21 @@ class Polynomial:
             acc = acc * x + complex(c)
         return acc
 
-    def substitute_affine(self, alpha, beta, new_var) -> "Polynomial":
-        """Exact substitution x -> alpha*t + beta, returning a polynomial in
-        the variable tagged new_var."""
-        alpha = _coerce(alpha)
-        beta = _coerce(beta)
-        t = Polynomial([beta, alpha], var=new_var)
-        acc = Polynomial.zero(var=new_var)
-        for c in reversed(self.coeffs):
-            acc = acc * t + Polynomial.constant(c, var=new_var)
-        return acc
-
     def conjugate_coeffs(self) -> "Polynomial":
-        return Polynomial([c.conjugate() for c in self.coeffs], var=self.var)
+        return Polynomial([c.conjugate() for c in self.coeffs])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Polynomial.constant(other, var=self.var)
+            other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        # a constant equals its scalar under any tag, so constants compare
-        # by value; otherwise equality would not be transitive
-        return self.coeffs == other.coeffs and (
-            self.var == other.var or len(self.coeffs) <= 1)
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         # a constant polynomial equals its scalar, so it hashes like it
         if self.is_constant():
             return hash(self.constant_term())
-        return hash((self.var, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
         if self.is_zero():
@@ -173,22 +145,22 @@ class Polynomial:
                 terms.append(str(c))
             else:
                 head = "" if c == 1 else f"({c})*"
-                pw = self.var if k == 1 else f"{self.var}^{k}"
+                pw = "u" if k == 1 else f"u^{k}"
                 terms.append(head + pw)
         return " + ".join(terms)
 
 
 class MatrixPolynomial:
-    """Rectangular matrix with Polynomial entries sharing one variable tag.
+    """Rectangular matrix with Polynomial entries.
 
     Square matrices of size ell+1 are the main case (operator coefficients,
     packages, weights), but column vectors reuse the same type with
     cols == 1.
     """
 
-    __slots__ = ("rows", "cols", "entries", "var")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries, var=None):
+    def __init__(self, entries):
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
         flat = []
@@ -197,71 +169,55 @@ class MatrixPolynomial:
                 raise ValueError("ragged matrix")
             for e in row:
                 if not isinstance(e, Polynomial):
-                    e = Polynomial.constant(e, var=var or "u")
+                    e = Polynomial.constant(e)
                 flat.append(e)
-        if var is None:
-            var = flat[0].var if flat else "u"
-        for e in flat:
-            if e.var != var:
-                raise ValueError("mixed variable tags in matrix")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", tuple(flat))
-        object.__setattr__(self, "var", var)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixPolynomial is immutable")
 
     @staticmethod
-    def from_function(rows, cols, fn, var="u") -> "MatrixPolynomial":
+    def from_function(rows, cols, fn) -> "MatrixPolynomial":
         return MatrixPolynomial(
-            [[fn(i, j) for j in range(cols)] for i in range(rows)], var=var
+            [[fn(i, j) for j in range(cols)] for i in range(rows)]
         )
 
     @staticmethod
-    def identity(n, var="u") -> "MatrixPolynomial":
+    def identity(n) -> "MatrixPolynomial":
         return MatrixPolynomial.from_function(
-            n, n, lambda i, j: Polynomial.constant(1 if i == j else 0, var=var),
-            var=var,
+            n, n, lambda i, j: Polynomial.constant(1 if i == j else 0)
         )
 
     @staticmethod
-    def zeros(rows, cols, var="u") -> "MatrixPolynomial":
+    def zeros(rows, cols) -> "MatrixPolynomial":
         return MatrixPolynomial.from_function(
-            rows, cols, lambda i, j: Polynomial.zero(var=var), var=var
+            rows, cols, lambda i, j: Polynomial.zero()
         )
 
     @staticmethod
-    def diagonal(values, var="u") -> "MatrixPolynomial":
+    def diagonal(values) -> "MatrixPolynomial":
         n = len(values)
         vals = list(values)
         return MatrixPolynomial.from_function(
             n, n,
             lambda i, j: (
                 vals[i] if (i == j and isinstance(vals[i], Polynomial))
-                else Polynomial.constant(vals[i] if i == j else 0, var=var)
+                else Polynomial.constant(vals[i] if i == j else 0)
             ),
-            var=var,
         )
 
     @staticmethod
-    def from_constant_rows(rows_of_scalars, var="u") -> "MatrixPolynomial":
+    def from_constant_rows(rows_of_scalars) -> "MatrixPolynomial":
         return MatrixPolynomial(
-            [[Polynomial.constant(c, var=var) for c in row]
-             for row in rows_of_scalars],
-            var=var,
+            [[Polynomial.constant(c) for c in row]
+             for row in rows_of_scalars]
         )
 
     def __getitem__(self, ij) -> Polynomial:
         i, j = ij
         return self.entries[i * self.cols + j]
-
-    def column(self, j) -> "MatrixPolynomial":
-        return MatrixPolynomial([[self[i, j]] for i in range(self.rows)],
-                                var=self.var)
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
@@ -287,13 +243,12 @@ class MatrixPolynomial:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
         return MatrixPolynomial.from_function(
-            self.rows, self.cols, lambda i, j: self[i, j] + other[i, j],
-            var=self.var,
+            self.rows, self.cols, lambda i, j: self[i, j] + other[i, j]
         )
 
     def __neg__(self):
         return MatrixPolynomial.from_function(
-            self.rows, self.cols, lambda i, j: -self[i, j], var=self.var
+            self.rows, self.cols, lambda i, j: -self[i, j]
         )
 
     def __sub__(self, other):
@@ -306,7 +261,7 @@ class MatrixPolynomial:
             raise ValueError("shape mismatch in matrix product")
 
         def entry(i, j):
-            acc = Polynomial.zero(var=self.var)
+            acc = Polynomial.zero()
             for t in range(self.cols):
                 a = self[i, t]
                 b = other[t, j]
@@ -315,8 +270,7 @@ class MatrixPolynomial:
                 acc = acc + a * b
             return acc
 
-        return MatrixPolynomial.from_function(self.rows, other.cols, entry,
-                                              var=self.var)
+        return MatrixPolynomial.from_function(self.rows, other.cols, entry)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, Polynomial)):
@@ -325,35 +279,25 @@ class MatrixPolynomial:
 
     def scale(self, c) -> "MatrixPolynomial":
         if not isinstance(c, Polynomial):
-            c = Polynomial.constant(c, var=self.var)
+            c = Polynomial.constant(c)
         return MatrixPolynomial.from_function(
-            self.rows, self.cols, lambda i, j: self[i, j] * c, var=self.var
+            self.rows, self.cols, lambda i, j: self[i, j] * c
         )
 
     def derivative(self) -> "MatrixPolynomial":
         return MatrixPolynomial.from_function(
-            self.rows, self.cols, lambda i, j: self[i, j].derivative(),
-            var=self.var,
+            self.rows, self.cols, lambda i, j: self[i, j].derivative()
         )
 
     def conjugate_transpose(self) -> "MatrixPolynomial":
         return MatrixPolynomial.from_function(
-            self.cols, self.rows, lambda i, j: self[j, i].conjugate_coeffs(),
-            var=self.var,
-        )
-
-    def substitute_affine(self, alpha, beta, new_var) -> "MatrixPolynomial":
-        return MatrixPolynomial.from_function(
-            self.rows, self.cols,
-            lambda i, j: self[i, j].substitute_affine(alpha, beta, new_var),
-            var=new_var,
+            self.cols, self.rows, lambda i, j: self[j, i].conjugate_coeffs()
         )
 
     def evaluate(self, x):
         """Numeric evaluation; returns a nested list of complex numbers."""
-        return [[complex(self[i, j](x)) if isinstance(x, (int, Fraction))
-                 else self[i, j](x)
-                 for j in range(self.cols)] for i in range(self.rows)]
+        return [[complex(self[i, j](x)) for j in range(self.cols)]
+                for i in range(self.rows)]
 
     def evaluate_exact(self, x):
         """Evaluation at an exact point; nested list of GaussianRational."""
@@ -364,10 +308,10 @@ class MatrixPolynomial:
         if not isinstance(other, MatrixPolynomial):
             return NotImplemented
         return (self.rows == other.rows and self.cols == other.cols
-                and self.var == other.var and self.entries == other.entries)
+                and self.entries == other.entries)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.var, self.entries))
+        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         rows = [", ".join(repr(self[i, j]) for j in range(self.cols))
@@ -387,43 +331,11 @@ def mismatch(lhs: MatrixPolynomial, rhs: MatrixPolynomial, where=""):
     return f"{where}entry ({i},{j}): {lhs[i, j]} != {rhs[i, j]}"
 
 
-def matpoly_det(M: MatrixPolynomial) -> Polynomial:
-    """Exact determinant by cofactor expansion with memoization on column
-    subsets.  Fine for the desk sizes in play (n up to 9)."""
-    if not M.is_square():
-        raise ValueError("determinant needs a square matrix")
-    n = M.rows
-    if n == 0:
-        return Polynomial.constant(1, var=M.var)
-    cache = {}
-
-    def minor(row, colmask):
-        key = (row, colmask)
-        if key in cache:
-            return cache[key]
-        cols = [j for j in range(n) if colmask & (1 << j)]
-        if row == n:
-            return Polynomial.constant(1, var=M.var)
-        acc = Polynomial.zero(var=M.var)
-        sign = 1
-        for idx, j in enumerate(cols):
-            e = M[row, j]
-            if not e.is_zero():
-                sub = minor(row + 1, colmask & ~(1 << j))
-                term = e * sub
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        cache[key] = acc
-        return acc
-
-    return minor(0, (1 << n) - 1)
-
-
 def matpoly_inverse_triangular(M: MatrixPolynomial) -> MatrixPolynomial:
     """Invert an upper triangular matrix polynomial whose diagonal entries are
     nonzero constants.  The result is again polynomial, found column by column
     by back-substitution."""
-    if not M.is_square():
+    if M.rows != M.cols:
         raise ValueError("inverse needs a square matrix")
     n = M.rows
     for i in range(n):
@@ -433,14 +345,14 @@ def matpoly_inverse_triangular(M: MatrixPolynomial) -> MatrixPolynomial:
         d = M[i, i]
         if not d.is_constant() or d.is_zero():
             raise ValueError("diagonal entry must be a nonzero constant")
-    inv = [[Polynomial.zero(var=M.var) for _ in range(n)] for _ in range(n)]
+    inv = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
     for col in range(n):
         for i in range(col, -1, -1):
-            rhs = Polynomial.constant(1 if i == col else 0, var=M.var)
+            rhs = Polynomial.constant(1 if i == col else 0)
             for t in range(i + 1, col + 1):
                 rhs = rhs - M[i, t] * inv[t][col]
             d = M[i, i].constant_term()
             inv[i][col] = Polynomial(
-                [c / d for c in rhs.coeffs], var=M.var
+                [c / d for c in rhs.coeffs]
             )
-    return MatrixPolynomial(inv, var=M.var)
+    return MatrixPolynomial(inv)

@@ -184,16 +184,3 @@ def eigen_ledger(ell: int, w: int, k: int) -> EigenLedger:
     return EigenLedger(ell=ell, w=w, k=k, m1=w + half, m2=half - k,
                        lam=lam, mu=mu)
 
-
-def eigen_ledger_from_rep(ell: int, m1, m2) -> EigenLedger:
-    """Ledger from the representation parameters (m1, m2)."""
-    half = Fraction(ell, 2)
-    m1 = Fraction(m1)
-    m2 = Fraction(m2)
-    if m1 < half or abs(m2) > half:
-        raise ValueError("representation does not contain this K-type")
-    w = m1 - half
-    k = half - m2
-    if w.denominator != 1 or k.denominator != 1:
-        raise ValueError("parameters do not differ from ell/2 by integers")
-    return eigen_ledger(ell, int(w), int(k))

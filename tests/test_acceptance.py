@@ -13,12 +13,12 @@ import pytest
 from sphmop.cli import verify_rows
 from sphmop.gaussian import GaussianRational, ONE
 from sphmop.family import coeffs_by_recursion, eval_H
-from sphmop.operators import classify_polynomial_solutions
 from sphmop.orthogonality import commutant
 from sphmop import geometry as geo
 from sphmop.hypergeometric import gegenbauer
 
 from conftest import GRID_ELLS, WMAX
+from test_operators import classify_polynomial_solutions
 
 
 @pytest.mark.parametrize("ell", GRID_ELLS)

@@ -185,6 +185,34 @@ class TestOutputFormats:
         assert doc["rows"] == doc["cols"] == 3
         assert doc["entries"][0][0] == ["1"]
 
+    def test_matrix_schema(self, capsys, tmp_path):
+        # the README's matrix object: exactly rows, cols, var and entries,
+        # and every polynomial is in u
+        def matrices(doc):
+            if isinstance(doc, dict):
+                if "entries" in doc:
+                    yield doc
+                else:
+                    for value in doc.values():
+                        yield from matrices(value)
+
+        _, out, _ = run(capsys, "structures", "--ell", "2")
+        found = list(matrices(json.loads(out)))
+        _, out, _ = run(capsys, "gram", "--ell", "2", "--wmax", "2")
+        found += list(matrices(json.loads(out)))
+        out_dir = tmp_path / "fam"
+        run(capsys, "family", "--ell", "2", "--wmax", "1",
+            "--out", str(out_dir))
+        for path in sorted(out_dir.iterdir()):
+            found += list(matrices(json.loads(path.read_text())))
+        # 19 structure matrices, 3 Gram matrices and 4 family files
+        assert len(found) == len(build_structures(2).names()) + 3 + 4
+        for M in found:
+            assert sorted(M) == ["cols", "entries", "rows", "var"]
+            assert M["var"] == "u"
+            assert len(M["entries"]) == M["rows"]
+            assert all(len(row) == M["cols"] for row in M["entries"])
+
     def test_weight_samples(self, capsys):
         code, out, err = run(capsys, "weight", "--ell", "2",
                              "--sample", "0.0,0.5")

@@ -1,16 +1,30 @@
 """Coefficient vectors and the packaged polynomial families."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from sphmop.gaussian import GaussianRational, ZERO, ONE, I
-from sphmop.polynomials import MatrixPolynomial, matpoly_det
+from sphmop.polynomials import Polynomial, MatrixPolynomial
 from sphmop.family import (coeffs_by_recursion, coeffs_by_racah, build_Pw,
-                           eval_H, psi_entry_reference)
+                           eval_H)
+from sphmop.hypergeometric import gegenbauer
 from sphmop.structure import build_L, eigen_ledger
 
 from conftest import GRID_ELLS, verify_row
+
+
+def psi_entry_reference(ell: int, j: int, k: int) -> Polynomial:
+    """Independent formula for the Psi entries through Gegenbauer
+    polynomials; the oracle for build_Pw(ell, 0)."""
+    if j > k:
+        return Polynomial.zero()
+    c = (GaussianRational(2 * j + 1)
+         * GaussianRational(0, -2) ** j
+         * GaussianRational(Fraction(factorial(k) * factorial(j),
+                                     factorial(k + j + 1))))
+    return gegenbauer(k - j, j + 1) * c
 
 
 class TestCoefficients:
@@ -82,25 +96,21 @@ class TestCoefficients:
 
 class TestPackages:
     def test_P0_ell1(self):
-        from sphmop.polynomials import Polynomial
         P0 = build_Pw(1, 0)
         assert P0 == MatrixPolynomial([
             [Polynomial([1]), Polynomial([0, 1])],
-            [Polynomial.zero("u"), Polynomial([-I])],
+            [Polynomial.zero(), Polynomial([-I])],
         ])
 
-    def test_det_psi_ell1(self):
-        from sphmop.polynomials import Polynomial
-        assert matpoly_det(build_Pw(1, 0)) == Polynomial([-I])
-
     def test_psi_upper_triangular_constant_det(self):
+        # upper triangular with a nonzero constant diagonal, so det Psi is
+        # a nonzero constant
         for ell in (0, 1, 2, 4):
             Psi = build_Pw(ell, 0)
             for i in range(ell + 1):
                 for j in range(i):
                     assert Psi[i, j].is_zero()
-            d = matpoly_det(Psi)
-            assert d.is_constant() and not d.is_zero()
+                assert Psi[i, i].is_constant() and not Psi[i, i].is_zero()
 
     def test_psi_entries_match_gegenbauer_form(self):
         for ell in (0, 1, 2, 4):

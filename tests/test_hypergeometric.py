@@ -13,8 +13,13 @@ from sphmop.hypergeometric import (HypergeometricSpec, hyp_terminating,
 
 class TestTerminatingSeries:
     def test_symbolic_2f1(self):
-        spec = HypergeometricSpec([-1, 3], [Fraction(3, 2)], "s")
-        assert hyp_terminating(spec) == Polynomial([1, -2], "s")
+        # a Polynomial argument gives a Polynomial: 2F1(-1, 3; 3/2; z) is
+        # 1 - 2z, which is u at z = (1-u)/2
+        u = Polynomial.variable()
+        s = Polynomial([Fraction(1, 2), Fraction(-1, 2)])
+        for z, value in ((u, Polynomial([1, -2])), (s, u)):
+            spec = HypergeometricSpec([-1, 3], [Fraction(3, 2)], z)
+            assert hyp_terminating(spec) == value
 
     def test_3f2_unit_argument(self):
         spec = HypergeometricSpec([-1, -1, 2], [1, -2], GaussianRational(1))
@@ -50,7 +55,7 @@ class TestGegenbauer:
 
     def test_three_term_recurrence(self):
         # 2(n+lam) u C_n = (n+1) C_{n+1} + (n+2lam-1) C_{n-1}
-        u = Polynomial.variable("u")
+        u = Polynomial.variable()
         for lam in range(1, 7):
             for n in range(1, 10):
                 lhs = u * gegenbauer(n, lam) * (2 * (n + lam))
@@ -62,7 +67,7 @@ class TestGegenbauer:
         # (1-u^2) dC_n^lam/du + (1-2lam) u C_n^lam
         #   = -(n+1)(2lam+n-1)/(2(lam-1)) C_{n+1}^{lam-1}
         one_minus_u2 = Polynomial([1, 0, -1])
-        u = Polynomial.variable("u")
+        u = Polynomial.variable()
         for lam in range(2, 7):
             for n in range(0, 11):
                 lhs = one_minus_u2 * gegenbauer(n, lam).derivative() \
@@ -72,7 +77,7 @@ class TestGegenbauer:
 
     def test_contiguous_identity(self):
         # (n+2lam-1)/(2(lam-1)) C_{n+1}^{lam-1} = C_{n+1}^lam - u C_n^lam
-        u = Polynomial.variable("u")
+        u = Polynomial.variable()
         for lam in range(2, 7):
             for n in range(0, 11):
                 coeff = Fraction(n + 2 * lam - 1, 2 * (lam - 1))

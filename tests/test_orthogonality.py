@@ -55,10 +55,14 @@ class TestWeight:
             assert W.poly_part.conjugate_transpose() == W.poly_part
 
     def test_poly_part_positive_definite_samples(self, weights):
+        # evaluate gives complex numbers for a float, int, Fraction or
+        # GaussianRational point alike
         for ell, W in weights.items():
-            for u in (-0.9, -0.4, 0.0, 0.3, 0.8):
-                m = np.array(W.poly_part.evaluate(u))
-                eigvals = np.linalg.eigvalsh(m)
+            for u in (-0.9, -0.4, 0, Fraction(3, 10),
+                      GaussianRational(Fraction(4, 5))):
+                vals = W.poly_part.evaluate(u)
+                assert all(type(v) is complex for row in vals for v in row)
+                eigvals = np.linalg.eigvalsh(np.array(vals))
                 assert eigvals.min() > 0
 
 
@@ -78,7 +82,7 @@ class TestInnerProduct:
                         == oracle_inner_product(F, G, W), (ell, w1, w2)
         # partners of unequal degree, either one the higher
         fam, W = families[2], weights[2]
-        uF = fam.PwTilde[3].scale(Polynomial.variable("u"))
+        uF = fam.PwTilde[3].scale(Polynomial.variable())
         G = fam.PwTilde[1]
         assert inner_product(uF, G, W) == oracle_inner_product(uF, G, W)
         assert inner_product(G, uF, W) == oracle_inner_product(G, uF, W)
@@ -151,7 +155,7 @@ class TestSymmetry:
                                       images) is None
 
     def test_skew_multiplication_not_symmetric(self, families, weights):
-        iu = Polynomial([ZERO, GaussianRational(0, 1)], var="u")
+        iu = Polynomial([ZERO, GaussianRational(0, 1)])
         op = MatrixODEOperator(
             order=1,
             A2=None,
@@ -171,7 +175,7 @@ class TestSymmetry:
             op = build(name, ell)
             if name != "Dtilde":
                 return op
-            u = Polynomial.variable("u")
+            u = Polynomial.variable()
             return dataclasses.replace(
                 op, A0=op.A0 + MatrixPolynomial.identity(ell + 1).scale(u))
 
@@ -217,10 +221,10 @@ class TestSymmetry:
                     for mats in ("lam", "mu"):
                         d1 = MatrixPolynomial.diagonal(
                             [getattr(eigen_ledger(ell, w1, k), mats)
-                             for k in range(ell + 1)], var="u")
+                             for k in range(ell + 1)])
                         d2 = MatrixPolynomial.diagonal(
                             [getattr(eigen_ledger(ell, w2, k), mats)
-                             for k in range(ell + 1)], var="u")
+                             for k in range(ell + 1)])
                         assert d2 * G == G * d1
 
 

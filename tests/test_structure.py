@@ -5,11 +5,25 @@ from fractions import Fraction
 import pytest
 
 from sphmop.gaussian import GaussianRational, I, ZERO
-from sphmop.structure import (build_structures, build_L, eigen_ledger,
-                              eigen_ledger_from_rep)
+from sphmop.structure import build_structures, build_L, eigen_ledger
 from sphmop import exact_linalg
 
 from conftest import verify_row
+
+
+def eigen_ledger_from_rep(ell: int, m1, m2):
+    """Ledger from the representation parameters (m1, m2); the inverse of
+    the (w, k) -> (m1, m2) map in eigen_ledger, checked against it."""
+    half = Fraction(ell, 2)
+    m1 = Fraction(m1)
+    m2 = Fraction(m2)
+    if m1 < half or abs(m2) > half:
+        raise ValueError("representation does not contain this K-type")
+    w = m1 - half
+    k = half - m2
+    if w.denominator != 1 or k.denominator != 1:
+        raise ValueError("parameters do not differ from ell/2 by integers")
+    return eigen_ledger(ell, int(w), int(k))
 
 
 def as_ints(M):
