@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -50,17 +51,20 @@ def constant_matrix_csv(M: MatrixPolynomial, out):
             out.write(f"{i},{j},{c.re},{c.im}\n")
 
 
+def _print_json(doc, sort_keys=False):
+    """Write one JSON document to stdout, indented, with a final newline."""
+    json.dump(doc, sys.stdout, indent=2, sort_keys=sort_keys)
+    sys.stdout.write("\n")
+
+
 def _cmd_structures(args):
     st = build_structures(args.ell)
     doc = {name: matpoly_to_json(getattr(st, name)) for name in st.names()}
-    json.dump({"ell": args.ell, "matrices": doc}, sys.stdout, indent=2,
-              sort_keys=True)
-    sys.stdout.write("\n")
+    _print_json({"ell": args.ell, "matrices": doc}, sort_keys=True)
     return 0
 
 
 def _cmd_family(args):
-    import os
     fam = build_family(args.ell, args.wmax)
     os.makedirs(args.out, exist_ok=True)
     for w in range(args.wmax + 1):
@@ -88,7 +92,7 @@ def _first(witnesses):
 
 
 def _column(values) -> MatrixPolynomial:
-    return MatrixPolynomial.from_constant_rows([[x] for x in values])
+    return MatrixPolynomial([[x] for x in values])
 
 
 def verify_rows(ell: int, wmax: int):
@@ -147,19 +151,15 @@ def verify_rows(ell: int, wmax: int):
         Pt = fam.PwTilde[w]
         deg = deg or (
             f"w={w} degree {Pt.degree()} != {w}" if Pt.degree() != w
-            else _diagonal_invertible(MatrixPolynomial.from_constant_rows(
+            else _diagonal_invertible(MatrixPolynomial(
                 Pt.coefficient_matrix(w)), f"w={w} leading coeff "))
     yield ("deg Pt_w = w with invertible diagonal leading coeff", deg)
 
-    conjD = conjugate(Dbar, fam.Psi, fam.PsiInv)
-    yield ("PsiInv*Dbar*Psi = Dtilde",
-           mismatch(conjD.A2, Dtilde.A2, "A2 ")
-           or mismatch(conjD.A1, Dtilde.A1, "A1 ")
-           or mismatch(conjD.A0, Dtilde.A0, "A0 "))
-    conjE = conjugate(Ebar, fam.Psi, fam.PsiInv)
-    yield ("PsiInv*Ebar*Psi = Etilde",
-           mismatch(conjE.A1, Etilde.A1, "A1 ")
-           or mismatch(conjE.A0, Etilde.A0, "A0 "))
+    for label, op, target in (("PsiInv*Dbar*Psi = Dtilde", Dbar, Dtilde),
+                              ("PsiInv*Ebar*Psi = Etilde", Ebar, Etilde)):
+        conj = conjugate(op, fam.Psi, fam.PsiInv)
+        yield (label, _first(mismatch(getattr(conj, A), getattr(target, A),
+                                      f"{A} ") for A in ("A2", "A1", "A0")))
     yield ("[Dbar, Ebar] = 0 on monomials to degree 12",
            commutator_check(Dbar, Ebar, 12))
 
@@ -167,7 +167,7 @@ def verify_rows(ell: int, wmax: int):
     members = [fam.PwTilde[w] for w in ws]
     # deep enough for op Pt_w even when a faulty op raises the degree
     rise = max((A.degree() or 0) - i for op in (Dtilde, Etilde)
-               for i, A in enumerate((op.A0, op.A1, op.A2)) if A is not None)
+               for i, A in enumerate((op.A0, op.A1, op.A2)))
     images = [weighted_image(F, W, wmax + max(rise, 0)) for F in members]
     zero = MatrixPolynomial.zeros(n, n)
     off = diag = None
@@ -183,8 +183,8 @@ def verify_rows(ell: int, wmax: int):
     # column k of U diag(1, 0, ..., 0) P_w(1) is H_{w,k}(1), which must be
     # (1, ..., 1); then tr Phi(e) = l+1
     e00 = MatrixPolynomial.diagonal([1] + [0] * ell)
-    ones = MatrixPolynomial.from_constant_rows([[1] * n] * n)
-    at_one = {w: MatrixPolynomial.from_constant_rows(
+    ones = MatrixPolynomial([[1] * n] * n)
+    at_one = {w: MatrixPolynomial(
         fam.Pw[w].evaluate_exact(GaussianRational(1))) for w in ws}
     yield ("trace normalization equals l+1",
            _first(mismatch(st.U * e00 * at_one[w], ones, f"w={w} ")
@@ -228,9 +228,7 @@ def _cmd_gram(args):
             constant_matrix_csv(G, sys.stdout)
         return 0
     doc = {str(w): matpoly_to_json(G) for w, G in enumerate(grams)}
-    json.dump({"ell": args.ell, "gram": doc}, sys.stdout, indent=2,
-              sort_keys=True)
-    sys.stdout.write("\n")
+    _print_json({"ell": args.ell, "gram": doc}, sort_keys=True)
     return 0
 
 
@@ -251,8 +249,7 @@ def _cmd_weight(args):
             "W": [[[pref * v.real, pref * v.imag] for v in row]
                   for row in vals],
         })
-    json.dump({"ell": args.ell, "samples": samples}, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json({"ell": args.ell, "samples": samples})
     return 0
 
 
@@ -268,8 +265,7 @@ def _cmd_reduce(args):
     if reduction is not None:
         doc["R"] = matpoly_to_json(reduction.R)
         doc["block_sizes"] = list(reduction.block_sizes)
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    _print_json(doc, sort_keys=True)
     return 0
 
 
@@ -283,8 +279,7 @@ def _cmd_eigen(args):
                 "m1": str(led.m1), "m2": str(led.m2),
                 "lambda": int(led.lam), "mu": str(led.mu),
             })
-    json.dump({"ell": args.ell, "ledger": rows}, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json({"ell": args.ell, "ledger": rows})
     return 0
 
 
@@ -302,9 +297,7 @@ def _cmd_reconstruct(args):
             "theta": t,
             "Phi": [[[v.real, v.imag] for v in row] for row in phi.tolist()],
         })
-    json.dump({"ell": args.ell, "w": args.w, "k": args.k, "values": out},
-              sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json({"ell": args.ell, "w": args.w, "k": args.k, "values": out})
     return 0
 
 
@@ -315,8 +308,7 @@ def _cmd_cover(args):
         except (TypeError, ValueError):   # an object, a string, ragged
             raise ValueError("expected a 4x4 nested list of numbers")
     a, b = geometry.wedge_cover(g)
-    json.dump({"a": a.tolist(), "b": b.tolist()}, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json({"a": a.tolist(), "b": b.tolist()})
     return 0
 
 

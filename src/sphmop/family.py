@@ -13,7 +13,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .gaussian import GaussianRational, ZERO, ONE
-from .polynomials import Polynomial, MatrixPolynomial
+from .polynomials import (Polynomial, MatrixPolynomial,
+                          matpoly_inverse_triangular)
 from .hypergeometric import hyp2f1_poly_u, racah_value, pochhammer
 from .structure import build_L, build_structures, eigen_ledger
 
@@ -111,7 +112,6 @@ class FamilyPackage:
 def build_family(ell: int, w_max: int) -> FamilyPackage:
     if w_max < 0:
         raise ValueError("w_max must be nonnegative")
-    from .polynomials import matpoly_inverse_triangular
     Psi = build_Pw(ell, 0)
     PsiInv = matpoly_inverse_triangular(Psi)
     Pw = {}

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .gaussian import GaussianRational, ONE
+from .gaussian import GaussianRational
 from .polynomials import Polynomial
 
 
@@ -22,55 +22,40 @@ def _as_rational(x) -> Fraction:
     raise TypeError("hypergeometric parameters must be rational")
 
 
-class HypergeometricSpec:
-    """Parameter block for a terminating pFq at a fixed argument.
+def hyp_terminating(numerator, denominator, z):
+    """Sum the terminating pFq(numerator; denominator; z) exactly.
 
-    The argument is a ring element: a GaussianRational (or a rational), or a
-    Polynomial, in which case evaluation yields a Polynomial.
+    The parameters are rationals; the series must terminate through a
+    nonpositive integer numerator parameter, and no denominator parameter
+    may hit zero before it does (ValueError otherwise).  The argument z is a
+    ring element: a GaussianRational (or a rational), or a Polynomial, and
+    the value has its type.  The rational series coefficients are
+    accumulated as Pochhammer ratios to avoid factorial blowup, then summed
+    by Horner's rule in z.
     """
-
-    def __init__(self, numerator, denominator, argument):
-        self.numerator = [_as_rational(a) for a in numerator]
-        self.denominator = [_as_rational(b) for b in denominator]
-        self.argument = (argument if isinstance(argument, Polynomial)
-                         else GaussianRational.of(argument))
-        self._validate()
-
-    def _termination_order(self) -> int:
-        stops = [-int(a) for a in self.numerator
-                 if a <= 0 and a.denominator == 1]
-        if not stops:
-            raise ValueError("series does not terminate: no nonpositive "
-                             "integer numerator parameter")
-        return min(stops)
-
-    def _validate(self):
-        n_terms = self._termination_order()
-        for b in self.denominator:
-            if b <= 0 and b.denominator == 1 and -int(b) < n_terms:
-                raise ValueError("denominator parameter hits zero before "
-                                 "the series terminates")
-
-
-def hyp_terminating(spec: HypergeometricSpec):
-    """Sum the terminating series exactly.
-
-    Returns a value of the argument's type: a GaussianRational, or a
-    Polynomial.  The rational series coefficients are accumulated as
-    Pochhammer ratios to avoid factorial blowup, then summed by Horner's
-    rule in the argument.
-    """
+    numerator = [_as_rational(a) for a in numerator]
+    denominator = [_as_rational(b) for b in denominator]
+    stops = [-int(a) for a in numerator if a <= 0 and a.denominator == 1]
+    if not stops:
+        raise ValueError("series does not terminate: no nonpositive "
+                         "integer numerator parameter")
+    n_terms = min(stops)
+    for b in denominator:
+        if b <= 0 and b.denominator == 1 and -int(b) < n_terms:
+            raise ValueError("denominator parameter hits zero before "
+                             "the series terminates")
     coeffs = [Fraction(1)]
-    for m in range(spec._termination_order()):
+    for m in range(n_terms):
         c = coeffs[-1] / (m + 1)
-        for a in spec.numerator:
+        for a in numerator:
             c *= a + m
-        for b in spec.denominator:
+        for b in denominator:
             c /= b + m
         coeffs.append(c)
-    z = spec.argument
-    one = Polynomial.constant(1) if isinstance(z, Polynomial) else ONE
-    acc = one * coeffs[-1]
+    if isinstance(z, Polynomial):
+        acc = Polynomial.constant(coeffs[-1])
+    else:
+        z, acc = GaussianRational.of(z), GaussianRational(coeffs[-1])
     for c in reversed(coeffs[:-1]):
         acc = acc * z + c
     return acc
@@ -79,7 +64,7 @@ def hyp_terminating(spec: HypergeometricSpec):
 def hyp2f1_poly_u(a, b, c) -> Polynomial:
     """The terminating 2F1(a, b; c; (1-u)/2) expanded as a Polynomial in u."""
     s = Polynomial([Fraction(1, 2), Fraction(-1, 2)])
-    return hyp_terminating(HypergeometricSpec([a, b], [c], s))
+    return hyp_terminating([a, b], [c], s)
 
 
 def gegenbauer(n: int, lam: int) -> Polynomial:
@@ -95,8 +80,7 @@ def hahn_value(k: int, j: int, ell: int) -> GaussianRational:
     matrix U."""
     if not (0 <= j <= ell and 0 <= k <= ell):
         raise ValueError("indices must lie in [0, ell]")
-    spec = HypergeometricSpec([-k, -j, k + 1], [1, -ell], GaussianRational(1))
-    return hyp_terminating(spec)
+    return hyp_terminating([-k, -j, k + 1], [1, -ell], 1)
 
 
 def racah_value(k: int, j: int, alpha, beta, gamma, delta,
@@ -111,12 +95,11 @@ def racah_value(k: int, j: int, alpha, beta, gamma, delta,
         raise ValueError("one of alpha+1, beta+delta+1, gamma+1 must be -N")
     if not 0 <= k <= N:
         raise ValueError("k out of range")
-    spec = HypergeometricSpec(
+    return hyp_terminating(
         [-k, k + alpha + beta + 1, -j, j + gamma + delta + 1],
         [alpha + 1, beta + delta + 1, gamma + 1],
-        GaussianRational(1),
+        1,
     )
-    return hyp_terminating(spec)
 
 
 def pochhammer(a, n: int) -> Fraction:

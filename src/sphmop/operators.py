@@ -17,19 +17,12 @@ from .structure import build_structures
 
 @dataclass(frozen=True)
 class MatrixODEOperator:
-    """F maps to A2 F'' + A1 F' + A0 F; A2 is None for first-order
-    operators."""
+    """F maps to A2 F'' + A1 F' + A0 F; A2 is the zero matrix for
+    first-order operators."""
 
-    order: int
-    A2: MatrixPolynomial | None
+    A2: MatrixPolynomial
     A1: MatrixPolynomial
     A0: MatrixPolynomial
-
-    def __post_init__(self):
-        if self.order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
-        if (self.order == 2) != (self.A2 is not None):
-            raise ValueError("A2 must be present exactly for order 2")
 
 
 def build_operator(name: str, ell: int) -> MatrixODEOperator:
@@ -48,7 +41,6 @@ def build_operator(name: str, ell: int) -> MatrixODEOperator:
 
     if name == "Dbar":
         return MatrixODEOperator(
-            order=2,
             A2=eye.scale(one_minus_u2),
             A1=-(st.C.scale(u)),
             A0=-st.V,
@@ -56,22 +48,19 @@ def build_operator(name: str, ell: int) -> MatrixODEOperator:
     if name == "Ebar":
         half_i = GaussianRational(0, Fraction(1, 2))
         return MatrixODEOperator(
-            order=1,
-            A2=None,
+            A2=MatrixPolynomial.zeros(n, n),
             A1=(st.Q0.scale(one_minus_u2) + st.Q1).scale(half_i),
             A0=-(st.M.scale(u).scale(half_i)) - st.V0.scale(Fraction(1, 2)),
         )
     if name == "Dtilde":
         return MatrixODEOperator(
-            order=2,
             A2=eye.scale(one_minus_u2),
             A1=st.S1 - st.C.scale(u),
             A0=st.Lambda0,
         )
     if name == "Etilde":
         return MatrixODEOperator(
-            order=1,
-            A2=None,
+            A2=MatrixPolynomial.zeros(n, n),
             A1=st.R2.scale(u) + st.R1,
             A0=st.M0,
         )
@@ -83,32 +72,24 @@ def apply(op: MatrixODEOperator, F: MatrixPolynomial) -> MatrixPolynomial:
     if op.A1.cols != F.rows:
         raise ValueError("size mismatch between operator and argument")
     d1 = F.derivative()
-    out = op.A1 * d1 + op.A0 * F
-    if op.order == 2:
-        out = out + op.A2 * d1.derivative()
-    return out
+    return op.A2 * d1.derivative() + op.A1 * d1 + op.A0 * F
 
 
 def conjugate(op: MatrixODEOperator, Psi: MatrixPolynomial,
               PsiInv: MatrixPolynomial) -> MatrixODEOperator:
     """The operator G -> Psi^{-1} op(Psi G), with polynomial coefficients.
 
-    Expanding derivatives of Psi G by the Leibniz rule gives, for order 2,
-    A2~ = Psi^{-1} A2 Psi, A1~ = Psi^{-1}(2 A2 Psi' + A1 Psi),
-    A0~ = Psi^{-1}(A2 Psi'' + A1 Psi' + A0 Psi); order 1 drops the A2 terms.
+    Expanding derivatives of Psi G by the Leibniz rule gives
+    A2~ = Psi^{-1} A2 Psi, A1~ = Psi^{-1}(2 A2 Psi' + A1 Psi) and
+    A0~ = Psi^{-1}(A2 Psi'' + A1 Psi' + A0 Psi) = Psi^{-1} op(Psi).
     Psi must be upper triangular with constant nonzero diagonal so that
     Psi^{-1}, and hence every coefficient, is again polynomial.
     """
-    dPsi = Psi.derivative()
-    if op.order == 2:
-        A2 = PsiInv * (op.A2 * Psi)
-        A1 = PsiInv * (op.A2 * dPsi.scale(2) + op.A1 * Psi)
-        A0 = PsiInv * (op.A2 * dPsi.derivative() + op.A1 * dPsi
-                       + op.A0 * Psi)
-        return MatrixODEOperator(order=2, A2=A2, A1=A1, A0=A0)
-    A1 = PsiInv * (op.A1 * Psi)
-    A0 = PsiInv * (op.A1 * dPsi + op.A0 * Psi)
-    return MatrixODEOperator(order=1, A2=None, A1=A1, A0=A0)
+    return MatrixODEOperator(
+        A2=PsiInv * (op.A2 * Psi),
+        A1=PsiInv * (op.A2 * Psi.derivative().scale(2) + op.A1 * Psi),
+        A0=PsiInv * apply(op, Psi),
+    )
 
 
 def commutator_check(opA: MatrixODEOperator, opB: MatrixODEOperator,

@@ -11,11 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .gaussian import GaussianRational, ZERO, ONE, I
 from .polynomials import Polynomial, MatrixPolynomial, mismatch
 from .structure import build_structures
+from .family import build_Pw
+from .operators import apply
 from . import exact_linalg
 
 
@@ -47,7 +49,6 @@ def _weight_diagonal(ell: int):
 
 @lru_cache(maxsize=None)
 def build_weight(ell: int) -> WeightMatrix:
-    from .family import build_Pw
     Psi = build_Pw(ell, 0)
     mid = MatrixPolynomial.diagonal(_weight_diagonal(ell))
     poly_part = Psi.conjugate_transpose() * mid * Psi
@@ -94,7 +95,7 @@ def inner_product_against_image(G: MatrixPolynomial, Y) -> MatrixPolynomial:
         raise ValueError(f"partner degree {top} > image depth {len(Y) - 1}")
     Gs = [row for j in range(top + 1) for row in G.coefficient_matrix(j)]
     Ys = [row for Yj in Y[:top + 1] for row in Yj]
-    return MatrixPolynomial.from_constant_rows(exact_linalg.mat_mul(
+    return MatrixPolynomial(exact_linalg.mat_mul(
         exact_linalg.mat_conj_transpose(Gs), Ys))
 
 
@@ -117,7 +118,6 @@ def symmetry_check(op, members, images):
     Each T(a, b) = <F_a, op F_b> is computed once; since poly_part is
     Hermitian, <op F_a, F_b> = T(b, a)*, so the identity is
     T(a, b) = T(b, a)*."""
-    from .operators import apply
     ops = [apply(op, F) for F in members]
     T = [[inner_product_against_image(ops[b], images[a])
           for b in range(len(members))] for a in range(len(members))]
@@ -137,7 +137,6 @@ def ldu_decompose(W: WeightMatrix):
     Writing Psi = Delta PsiHat with Delta the constant diagonal of Psi gives
     L = PsiHat*, Uf = PsiHat, and Dg = diag(|Psi_jj|^2 c_j (1-u^2)^j).
     """
-    from .family import build_Pw
     ell = W.ell
     Psi = build_Pw(ell, 0)
     delta = []
@@ -161,7 +160,6 @@ def _rational_roots(coeffs):
     """Rational roots of a polynomial with Fraction coefficients, lowest
     degree first, found by the rational root theorem."""
     # clear denominators to integers
-    from math import lcm
     den = lcm(*[c.denominator for c in coeffs]) if coeffs else 1
     ints = [int(c * den) for c in coeffs]
     while ints and ints[-1] == 0:
@@ -282,7 +280,7 @@ def commutant(W: WeightMatrix):
             columns.extend(space)
     if len(columns) != n:
         raise ArithmeticError("eigenspaces do not span")
-    R = MatrixPolynomial.from_constant_rows(
+    R = MatrixPolynomial(
         [[columns[c][r] for c in range(n)] for r in range(n)]
     )
     return dim, basis, Reduction(R=R, block_sizes=tuple(block_sizes))

@@ -10,12 +10,6 @@ from fractions import Fraction
 from .gaussian import GaussianRational, ZERO
 
 
-def _coerce(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational.of(x)
-
-
 class Polynomial:
     """Univariate polynomial over GaussianRational, lowest degree first.
 
@@ -27,7 +21,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [_coerce(c) for c in coeffs]
+        cs = [GaussianRational.of(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -77,14 +71,15 @@ class Polynomial:
         return Polynomial([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Polynomial) else -_coerce(other))
+        return self + (-other if isinstance(other, Polynomial)
+                       else -GaussianRational.of(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            c = _coerce(other)
+            c = GaussianRational.of(other)
             return Polynomial([a * c for a in self.coeffs])
         if self.is_zero() or other.is_zero():
             return Polynomial.zero()
@@ -198,21 +193,10 @@ class MatrixPolynomial:
 
     @staticmethod
     def diagonal(values) -> "MatrixPolynomial":
-        n = len(values)
-        vals = list(values)
-        return MatrixPolynomial.from_function(
-            n, n,
-            lambda i, j: (
-                vals[i] if (i == j and isinstance(vals[i], Polynomial))
-                else Polynomial.constant(vals[i] if i == j else 0)
-            ),
-        )
-
-    @staticmethod
-    def from_constant_rows(rows_of_scalars) -> "MatrixPolynomial":
+        """Diagonal matrix of Polynomials or scalars."""
         return MatrixPolynomial(
-            [[Polynomial.constant(c) for c in row]
-             for row in rows_of_scalars]
+            [[v if i == j else 0 for j in range(len(values))]
+             for i, v in enumerate(values)]
         )
 
     def __getitem__(self, ij) -> Polynomial:
@@ -227,8 +211,7 @@ class MatrixPolynomial:
 
     def constant_value(self):
         """The scalar matrix of constant terms; meaningful when is_constant()."""
-        return [[self[i, j].constant_term() for j in range(self.cols)]
-                for i in range(self.rows)]
+        return self.coefficient_matrix(0)
 
     def degree(self):
         ds = [e.degree() for e in self.entries if not e.is_zero()]

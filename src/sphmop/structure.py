@@ -9,7 +9,7 @@ exact rational, although only even ell correspond to K-types of SO(3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -20,16 +20,10 @@ from .hypergeometric import hahn_value
 from . import exact_linalg
 
 
-def _diag(values):
-    return MatrixPolynomial.diagonal([GaussianRational.of(v) for v in values])
-
-
 def _from_entries(n, entries):
     """Build a constant matrix from a dict {(i, j): scalar}."""
-    m = [[GaussianRational(0)] * n for _ in range(n)]
-    for (i, j), v in entries.items():
-        m[i][j] = GaussianRational.of(v)
-    return MatrixPolynomial.from_constant_rows(m)
+    return MatrixPolynomial.from_function(
+        n, n, lambda i, j: entries.get((i, j), 0))
 
 
 @dataclass(frozen=True)
@@ -58,8 +52,7 @@ class StructureSet:
     UstarU: MatrixPolynomial
 
     def names(self):
-        return ("A0", "C0", "C1", "V0", "V", "C", "J", "Q0", "Q1", "M",
-                "S1", "R1", "R2", "Lambda0", "M0", "B", "U", "Uinv", "UstarU")
+        return tuple(f.name for f in fields(self) if f.name != "ell")
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +63,7 @@ def build_structures(ell: int) -> StructureSet:
     n = ell + 1
     half = Fraction(ell, 2)
 
-    A0 = _diag([ell - 2 * j for j in range(n)])
+    A0 = MatrixPolynomial.diagonal([ell - 2 * j for j in range(n)])
 
     c0 = {}
     for j in range(1, n):
@@ -86,10 +79,10 @@ def build_structures(ell: int) -> StructureSet:
         c1[(j, j)] = c1.get((j, j), GaussianRational(0)) - v
     C1 = _from_entries(n, c1)
 
-    V0 = _diag([j * (j + 1) for j in range(n)])
-    V = _diag([j * (j + 2) for j in range(n)])
-    C = _diag([2 * j + 3 for j in range(n)])
-    J = _diag(list(range(n)))
+    V0 = MatrixPolynomial.diagonal([j * (j + 1) for j in range(n)])
+    V = MatrixPolynomial.diagonal([j * (j + 2) for j in range(n)])
+    C = MatrixPolynomial.diagonal([2 * j + 3 for j in range(n)])
+    J = MatrixPolynomial.diagonal(list(range(n)))
 
     Q0 = _from_entries(n, {(j, j + 1): Fraction((j + 1) * (ell + j + 2),
                                                 2 * j + 3)
@@ -105,21 +98,19 @@ def build_structures(ell: int) -> StructureSet:
         r1[(j, j + 1)] = Fraction(j + 1, 2)
         r1[(j + 1, j)] = Fraction(-(ell - j), 2)
     R1 = _from_entries(n, r1)
-    R2 = _diag([half - j for j in range(n)])
-    Lambda0 = _diag([-j * (j + 2) for j in range(n)])
-    M0 = _diag([-j * (half + 1) for j in range(n)])
+    R2 = MatrixPolynomial.diagonal([half - j for j in range(n)])
+    Lambda0 = MatrixPolynomial.diagonal([-j * (j + 2) for j in range(n)])
+    M0 = MatrixPolynomial.diagonal([-j * (half + 1) for j in range(n)])
     B = _from_entries(n, {
         **{(j, j): Fraction(2 * j + 3, 2) for j in range(n)},
         **{(j, j + 1): -(j + 1) for j in range(ell)},
     })
 
-    U = MatrixPolynomial.from_constant_rows(
+    U = MatrixPolynomial(
         [[hahn_value(k, j, ell) for k in range(n)] for j in range(n)]
     )
-    Uinv = MatrixPolynomial.from_constant_rows(
-        exact_linalg.invert(U.constant_value())
-    )
-    UstarU = _diag([
+    Uinv = MatrixPolynomial(exact_linalg.invert(U.constant_value()))
+    UstarU = MatrixPolynomial.diagonal([
         Fraction(factorial(j + ell + 1) * factorial(ell - j),
                  (2 * j + 1) * factorial(ell) * factorial(ell))
         for j in range(n)

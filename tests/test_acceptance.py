@@ -3,13 +3,16 @@ w <= 8).  The exact identities are the rows of `cli.verify_rows`, checked
 with zero tolerance; the remaining criteria cover what `verify` does not
 report, and the numeric group-layer checks state their tolerances inline."""
 
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sphmop
 from sphmop.cli import verify_rows
 from sphmop.gaussian import GaussianRational, ONE
 from sphmop.family import coeffs_by_recursion, eval_H
@@ -109,8 +112,12 @@ def test_criterion_7_group_layer_numeric():
 def test_criterion_8_deterministic_reports():
     cmd = [sys.executable, "-m", "sphmop.cli", "verify",
            "--ell", "4", "--wmax", "6"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    # the child finds the package where this process found it
+    src = str(Path(sphmop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
     assert b"FAIL" not in first.stdout

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from sphmop import exact_linalg as el
 from sphmop.gaussian import GaussianRational, ZERO, ONE
 from sphmop.orthogonality import _minimal_polynomial
+from sphmop.polynomials import MatrixPolynomial
 
 parts = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 entries = st.one_of(st.just(ZERO), st.builds(GaussianRational, parts, parts))
@@ -92,17 +93,11 @@ def test_invert(data):
     assert el.mat_mul(inv, m) == el.mat_identity(n)
 
 
-def _diag(values):
-    n = len(values)
-    return [[GaussianRational(values[i]) if i == j else ZERO
-             for j in range(n)] for i in range(n)]
-
-
 @pytest.mark.parametrize("B, coeffs", [
     ([[GaussianRational(2) if i + j == 2 else ZERO for j in range(3)]
       for i in range(3)], [-4, 0, 1]),
-    (_diag([1, 2, 2]), [2, -3, 1]),
-    (_diag([3, 3, 3]), [-3, 1]),
+    (MatrixPolynomial.diagonal([1, 2, 2]).constant_value(), [2, -3, 1]),
+    (MatrixPolynomial.diagonal([3, 3, 3]).constant_value(), [-3, 1]),
 ])
 def test_minimal_polynomial(B, coeffs):
     assert _minimal_polynomial(B) == coeffs

@@ -7,8 +7,8 @@ import pytest
 
 from sphmop.gaussian import GaussianRational
 from sphmop.polynomials import Polynomial
-from sphmop.hypergeometric import (HypergeometricSpec, hyp_terminating,
-                                   gegenbauer, hahn_value, racah_value)
+from sphmop.hypergeometric import (hyp_terminating, gegenbauer, hahn_value,
+                                   racah_value)
 
 
 class TestTerminatingSeries:
@@ -18,26 +18,25 @@ class TestTerminatingSeries:
         u = Polynomial.variable()
         s = Polynomial([Fraction(1, 2), Fraction(-1, 2)])
         for z, value in ((u, Polynomial([1, -2])), (s, u)):
-            spec = HypergeometricSpec([-1, 3], [Fraction(3, 2)], z)
-            assert hyp_terminating(spec) == value
+            assert hyp_terminating([-1, 3], [Fraction(3, 2)], z) == value
 
     def test_3f2_unit_argument(self):
-        spec = HypergeometricSpec([-1, -1, 2], [1, -2], GaussianRational(1))
-        assert hyp_terminating(spec) == GaussianRational(0)
+        assert hyp_terminating([-1, -1, 2], [1, -2], GaussianRational(1)) \
+            == GaussianRational(0)
 
     def test_zero_numerator_gives_one(self):
-        spec = HypergeometricSpec([0, 5, -3], [2], GaussianRational(7))
-        assert hyp_terminating(spec) == GaussianRational(1)
+        assert hyp_terminating([0, 5, -3], [2], GaussianRational(7)) \
+            == GaussianRational(1)
 
     def test_rejects_nonterminating(self):
         with pytest.raises(ValueError):
-            HypergeometricSpec([1, 2], [3], GaussianRational(1))
+            hyp_terminating([1, 2], [3], GaussianRational(1))
 
     def test_rejects_bad_denominator(self):
         # denominator parameter -1 hits zero at the m=1 term while the
         # series runs to m=3
         with pytest.raises(ValueError):
-            HypergeometricSpec([-3, 2], [-1], GaussianRational(1))
+            hyp_terminating([-3, 2], [-1], GaussianRational(1))
 
 
 class TestGegenbauer:
@@ -173,9 +172,8 @@ class TestRacah:
         # 3F2(-j, j+1, -l-1; 1, -l; 1) = (-1)^j binom(l+j+1, j)/binom(l, j)
         for ell in range(7):
             for j in range(ell + 1):
-                spec = HypergeometricSpec([-j, j + 1, -ell - 1], [1, -ell],
-                                          GaussianRational(1))
-                val = hyp_terminating(spec)
+                val = hyp_terminating([-j, j + 1, -ell - 1], [1, -ell],
+                                      GaussianRational(1))
                 expected = GaussianRational(
                     Fraction((-1) ** j * comb(ell + j + 1, j), comb(ell, j)))
                 assert val == expected

@@ -7,7 +7,7 @@ work in s, so the series solver and the change of variable live here;
 the package itself works in u only.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -17,7 +17,9 @@ from sphmop.polynomials import Polynomial, MatrixPolynomial
 from sphmop.structure import build_L, build_structures, eigen_ledger
 from sphmop.family import coeffs_by_recursion
 from sphmop.operators import build_operator, apply, conjugate, commutator_check
-from sphmop import exact_linalg
+from sphmop import cli, exact_linalg
+
+from conftest import verify_row
 
 
 def _compose(M: MatrixPolynomial, t: Polynomial) -> MatrixPolynomial:
@@ -198,18 +200,30 @@ class TestConjugation:
     def test_conjugation_yields_tilde_operators(self, families):
         for ell in (0, 1, 2, 4):
             fam = families[ell]
-            Dt = conjugate(build_operator("Dbar", ell), fam.Psi, fam.PsiInv)
-            ref = build_operator("Dtilde", ell)
-            assert (Dt.A2, Dt.A1, Dt.A0) == (ref.A2, ref.A1, ref.A0)
-            Et = conjugate(build_operator("Ebar", ell), fam.Psi, fam.PsiInv)
-            refE = build_operator("Etilde", ell)
-            assert (Et.A1, Et.A0) == (refE.A1, refE.A0)
+            for bar, tilde in (("Dbar", "Dtilde"), ("Ebar", "Etilde")):
+                assert conjugate(build_operator(bar, ell), fam.Psi,
+                                 fam.PsiInv) == build_operator(tilde, ell)
 
     def test_conjugate_by_identity(self):
         op = build_operator("Dbar", 2)
         eye = MatrixPolynomial.identity(3)
-        conj = conjugate(op, eye, eye)
-        assert (conj.A2, conj.A1, conj.A0) == (op.A2, op.A1, op.A0)
+        assert conjugate(op, eye, eye) == op
+
+    def test_verify_compares_A2_of_first_order_pair(self, monkeypatch):
+        # Ebar is the only first-order operator verify conjugates; a
+        # nonzero A2 in its conjugate must fail the Etilde row
+        conj = cli.conjugate
+
+        def with_A2(op, Psi, PsiInv):
+            out = conj(op, Psi, PsiInv)
+            if not op.A2.is_zero():
+                return out
+            return replace(out,
+                           A2=out.A2 + MatrixPolynomial.identity(Psi.rows))
+
+        monkeypatch.setattr(cli, "conjugate", with_A2)
+        assert verify_row(1, 1, "PsiInv*Ebar*Psi = Etilde") \
+            == "A2 entry (0,0): 1 != 0"
 
 
 class TestCommutation:
@@ -229,8 +243,7 @@ class TestCommutation:
         ell = 2
         u = Polynomial.variable()
         mult_u = MatrixODEOperator(
-            order=1,
-            A2=None,
+            A2=MatrixPolynomial.zeros(3, 3),
             A1=MatrixPolynomial.zeros(3, 3),
             A0=MatrixPolynomial.identity(3).scale(u),
         )

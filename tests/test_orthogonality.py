@@ -21,7 +21,7 @@ def oracle_inner_product(F, G, W):
     """<F, G> the long way, sharing no code with the moment path: form the
     polynomial matrix G* poly_part F and integrate each entry term by term."""
     H = G.conjugate_transpose() * W.poly_part * F
-    return MatrixPolynomial.from_constant_rows(
+    return MatrixPolynomial(
         [[sum((c * chebyshev_moment(m) for m, c in enumerate(H[i, j].coeffs)),
               ZERO) for j in range(H.cols)] for i in range(H.rows)])
 
@@ -157,8 +157,7 @@ class TestSymmetry:
     def test_skew_multiplication_not_symmetric(self, families, weights):
         iu = Polynomial([ZERO, GaussianRational(0, 1)])
         op = MatrixODEOperator(
-            order=1,
-            A2=None,
+            A2=MatrixPolynomial.zeros(2, 2),
             A1=MatrixPolynomial.zeros(2, 2),
             A0=MatrixPolynomial.identity(2).scale(iu),
         )
@@ -191,7 +190,7 @@ class TestSymmetry:
             W = weights[ell]
             members, images = members_and_images(families[ell], W, 4)
             ws = range(len(members))
-            corner = MatrixPolynomial.from_constant_rows(
+            corner = MatrixPolynomial(
                 [[int((i, j) == (0, ell)) for j in range(ell + 1)]
                  for i in range(ell + 1)])
             for name in ("Dtilde", "Etilde"):
@@ -280,7 +279,7 @@ class TestCommutant:
             dim, basis, _ = commutant(weights[ell])
             W = weights[ell].poly_part
             for mat in basis:
-                A = MatrixPolynomial.from_constant_rows(mat)
+                A = MatrixPolynomial(mat)
                 assert A * W == W * A
 
     def test_block_reduction(self, weights):
