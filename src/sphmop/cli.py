@@ -379,7 +379,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize others
         return 2 if exc.code not in (0,) else 0
-    if getattr(args, "ell", 0) is not None and getattr(args, "ell", 0) < 0:
+    if getattr(args, "ell", 0) < 0:
         print("error: --ell must be nonnegative", file=sys.stderr)
         return 2
     if getattr(args, "wmax", 0) < 0:

@@ -75,7 +75,11 @@ class GaussianRational:
         return GaussianRational.of(other) - self
 
     def __mul__(self, other):
-        other = GaussianRational.of(other)
+        try:
+            other = GaussianRational.of(other)
+        except TypeError:
+            # let the other operand's reflected product decide
+            return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
         # zero fast-paths matter: most structure constants are real or
         # purely imaginary, and Fraction multiplication is not cheap

@@ -41,27 +41,27 @@ def build_operator(name: str, ell: int) -> MatrixODEOperator:
 
     if name == "Dbar":
         return MatrixODEOperator(
-            A2=eye.scale(one_minus_u2),
-            A1=-(st.C.scale(u)),
+            A2=eye * one_minus_u2,
+            A1=-(st.C * u),
             A0=-st.V,
         )
     if name == "Ebar":
         half_i = GaussianRational(0, Fraction(1, 2))
         return MatrixODEOperator(
             A2=MatrixPolynomial.zeros(n, n),
-            A1=(st.Q0.scale(one_minus_u2) + st.Q1).scale(half_i),
-            A0=-(st.M.scale(u).scale(half_i)) - st.V0.scale(Fraction(1, 2)),
+            A1=(st.Q0 * one_minus_u2 + st.Q1) * half_i,
+            A0=-(st.M * u * half_i) - st.V0 * Fraction(1, 2),
         )
     if name == "Dtilde":
         return MatrixODEOperator(
-            A2=eye.scale(one_minus_u2),
-            A1=st.S1 - st.C.scale(u),
+            A2=eye * one_minus_u2,
+            A1=st.S1 - st.C * u,
             A0=st.Lambda0,
         )
     if name == "Etilde":
         return MatrixODEOperator(
             A2=MatrixPolynomial.zeros(n, n),
-            A1=st.R2.scale(u) + st.R1,
+            A1=st.R2 * u + st.R1,
             A0=st.M0,
         )
     raise ValueError(f"unknown operator {name!r}")
@@ -87,7 +87,7 @@ def conjugate(op: MatrixODEOperator, Psi: MatrixPolynomial,
     """
     return MatrixODEOperator(
         A2=PsiInv * (op.A2 * Psi),
-        A1=PsiInv * (op.A2 * Psi.derivative().scale(2) + op.A1 * Psi),
+        A1=PsiInv * (op.A2 * Psi.derivative() * 2 + op.A1 * Psi),
         A0=PsiInv * apply(op, Psi),
     )
 
@@ -101,7 +101,7 @@ def commutator_check(opA: MatrixODEOperator, opB: MatrixODEOperator,
     degrees plus two."""
     eye = MatrixPolynomial.identity(opA.A1.rows)
     for d in range(degree_bound + 1):
-        F = eye.scale(Polynomial([0] * d + [1]))
+        F = eye * Polynomial([0] * d + [1])
         witness = mismatch(apply(opA, apply(opB, F)),
                            apply(opB, apply(opA, F)), f"u^{d} e_j: ")
         if witness:

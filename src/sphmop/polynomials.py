@@ -60,6 +60,8 @@ class Polynomial:
     def __add__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = Polynomial.constant(other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial(
             [self.coefficient(k) + other.coefficient(k) for k in range(n)]
@@ -81,6 +83,8 @@ class Polynomial:
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = GaussianRational.of(other)
             return Polynomial([a * c for a in self.coeffs])
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return Polynomial.zero()
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -206,11 +210,8 @@ class MatrixPolynomial:
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
 
-    def is_constant(self) -> bool:
-        return all(e.is_constant() for e in self.entries)
-
     def constant_value(self):
-        """The scalar matrix of constant terms; meaningful when is_constant()."""
+        """The scalar matrix of constant terms."""
         return self.coefficient_matrix(0)
 
     def degree(self):
@@ -239,7 +240,9 @@ class MatrixPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, Polynomial)):
-            return self.scale(other)
+            return MatrixPolynomial.from_function(
+                self.rows, self.cols, lambda i, j: self[i, j] * other
+            )
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
 
@@ -257,15 +260,8 @@ class MatrixPolynomial:
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, Polynomial)):
-            return self.scale(other)
+            return self * other
         return NotImplemented
-
-    def scale(self, c) -> "MatrixPolynomial":
-        if not isinstance(c, Polynomial):
-            c = Polynomial.constant(c)
-        return MatrixPolynomial.from_function(
-            self.rows, self.cols, lambda i, j: self[i, j] * c
-        )
 
     def derivative(self) -> "MatrixPolynomial":
         return MatrixPolynomial.from_function(

@@ -173,6 +173,18 @@ class TestMatrixPolynomial:
         with pytest.raises(ValueError):
             matpoly_inverse_triangular(nonconst_diag)
 
+    def test_reflected_scalar_products(self):
+        # a scalar or Polynomial on the left reaches MatrixPolynomial's
+        # reflected product; an operand no exact type knows is a TypeError
+        M = MatrixPolynomial.identity(2)
+        p = Polynomial([1, 2])
+        assert p * M == M * p
+        assert GaussianRational(2) * M == M * 2
+        with pytest.raises(TypeError):
+            p + 1.5
+        with pytest.raises(TypeError):
+            p * 1.5
+
     @settings(max_examples=40, deadline=None)
     @given(triangular_matrices())
     def test_inverse_property(self, M):

@@ -2,12 +2,14 @@
 reduced row echelon form, so each is checked against its defining equation
 on small random matrices, rank-deficient products (k x r)(r x n) included."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sphmop import exact_linalg as el
 from sphmop.gaussian import GaussianRational, ZERO, ONE
-from sphmop.orthogonality import _minimal_polynomial
+from sphmop.orthogonality import _minimal_polynomial, _rational_roots
 from sphmop.polynomials import MatrixPolynomial
 
 parts = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -101,3 +103,14 @@ def test_invert(data):
 ])
 def test_minimal_polynomial(B, coeffs):
     assert _minimal_polynomial(B) == coeffs
+
+
+@pytest.mark.parametrize("coeffs, roots", [
+    ([0, -4, 0, 1], [-2, 0, 2]),                        # x^3 - 4x
+    ([Fraction(-1, 4), 0, 1], [Fraction(-1, 2), Fraction(1, 2)]),
+    ([-2, 0, 1], []),                                   # x^2 - 2
+    ([0, 0, 1], [0]),                                   # x^2
+])
+def test_rational_roots(coeffs, roots):
+    # zero roots are split off before the rational root theorem runs
+    assert _rational_roots([Fraction(c) for c in coeffs]) == roots

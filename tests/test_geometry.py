@@ -1,6 +1,8 @@
 """Numeric group layer: the double cover, the representation, and the
 reconstructed spherical functions with their equivariance properties."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -223,31 +225,42 @@ class TestReconstruction:
         assert np.max(np.abs(pm @ D - D @ pm)) < 1e-10
 
 
-class TestNumericOrthogonality:
-    @staticmethod
-    def hdot(ell, wk1, wk2, N=200):
-        """Gauss quadrature (second-kind nodes) of the sphere-level inner
-        product of two one-variable component vectors."""
+@pytest.fixture(scope="module")
+def hdot():
+    """Gauss quadrature (second-kind nodes) of the sphere-level inner
+    product of two one-variable component vectors.  Each vector is
+    evaluated once at the nodes and shared by every pair it is in."""
+    N = 200
+    nodes = [(np.cos(t * np.pi / (N + 1)),
+              (np.pi / (N + 1)) * np.sin(t * np.pi / (N + 1)) ** 2)
+             for t in range(1, N + 1)]
+
+    @functools.cache
+    def vectors(ell, w, k):
+        return [np.array(eval_H(ell, w, k, x)) for x, _ in nodes]
+
+    def quadrature(ell, wk1, wk2):
         total = 0.0
-        for t in range(1, N + 1):
-            x = np.cos(t * np.pi / (N + 1))
-            wq = (np.pi / (N + 1)) * np.sin(t * np.pi / (N + 1)) ** 2
-            h1 = np.array(eval_H(ell, *wk1, x))
-            h2 = np.array(eval_H(ell, *wk2, x))
+        for (_, wq), h1, h2 in zip(nodes, vectors(ell, *wk1),
+                                   vectors(ell, *wk2)):
             total += wq * np.vdot(h2, h1).real
         return 2.0 / np.pi * total
 
-    def test_distinct_indices_orthogonal(self):
+    return quadrature
+
+
+class TestNumericOrthogonality:
+    def test_distinct_indices_orthogonal(self, hdot):
         pairs = [(1, 1), (0, 2), (2, 0), (0, 1), (1, 0), (2, 2)]
         for ell in (2, 4):
             for i, wk1 in enumerate(pairs):
                 for wk2 in pairs[i + 1:]:
-                    assert abs(self.hdot(ell, wk1, wk2)) < 1e-8
+                    assert abs(hdot(ell, wk1, wk2)) < 1e-8
 
-    def test_norms_positive(self):
+    def test_norms_positive(self, hdot):
         for ell in (2, 4):
             for wk in ((0, 0), (1, 1), (2, 0), (0, 2)):
-                assert self.hdot(ell, wk, wk) > 1e-3
+                assert hdot(ell, wk, wk) > 1e-3
 
-    def test_sample_norm_value(self):
-        assert abs(self.hdot(2, (1, 1), (1, 1)) - 1.0) < 1e-8
+    def test_sample_norm_value(self, hdot):
+        assert abs(hdot(2, (1, 1), (1, 1)) - 1.0) < 1e-8

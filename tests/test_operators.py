@@ -197,12 +197,8 @@ class TestBuildAndApply:
 
 
 class TestConjugation:
-    def test_conjugation_yields_tilde_operators(self, families):
-        for ell in (0, 1, 2, 4):
-            fam = families[ell]
-            for bar, tilde in (("Dbar", "Dtilde"), ("Ebar", "Etilde")):
-                assert conjugate(build_operator(bar, ell), fam.Psi,
-                                 fam.PsiInv) == build_operator(tilde, ell)
+    # Psi^{-1} Dbar Psi = Dtilde and Psi^{-1} Ebar Psi = Etilde are verify
+    # rows, compared coefficient by coefficient at every grid ell
 
     def test_conjugate_by_identity(self):
         op = build_operator("Dbar", 2)
@@ -227,10 +223,7 @@ class TestConjugation:
 
 
 class TestCommutation:
-    def test_bar_pair_commutes(self):
-        for ell in (0, 1, 2, 4):
-            assert commutator_check(build_operator("Dbar", ell),
-                                    build_operator("Ebar", ell), 12) is None
+    # [Dbar, Ebar] = 0 is a verify row; verify has no row for the tilde pair
 
     def test_tilde_pair_commutes(self):
         for ell in (0, 1, 2, 4):
@@ -245,7 +238,7 @@ class TestCommutation:
         mult_u = MatrixODEOperator(
             A2=MatrixPolynomial.zeros(3, 3),
             A1=MatrixPolynomial.zeros(3, 3),
-            A0=MatrixPolynomial.identity(3).scale(u),
+            A0=MatrixPolynomial.identity(3) * u,
         )
         assert commutator_check(build_operator("Dtilde", ell), mult_u, 4) \
             == "u^0 e_j: entry (0,0): (-3)*u != 0"

@@ -73,16 +73,29 @@ class TestInnerProduct:
         assert G[0, 0].constant_term() == GaussianRational(1)
 
     def test_agrees_with_polynomial_product_oracle(self, families, weights):
+        # the family is orthogonal: off-diagonal blocks vanish and each
+        # member's own block is diagonal with positive real entries
         for ell in (0, 1, 2, 4):
             fam, W = families[ell], weights[ell]
             for w1 in range(7):
                 for w2 in range(7):
                     F, G = fam.PwTilde[w1], fam.PwTilde[w2]
-                    assert inner_product(F, G, W) \
-                        == oracle_inner_product(F, G, W), (ell, w1, w2)
+                    block = inner_product(F, G, W)
+                    assert block == oracle_inner_product(F, G, W), \
+                        (ell, w1, w2)
+                    if w1 != w2:
+                        assert block.is_zero(), (ell, w1, w2)
+                        continue
+                    for i in range(ell + 1):
+                        for j in range(ell + 1):
+                            c = block[i, j].constant_term()
+                            if i == j:
+                                assert c.im == 0 and c.re > 0
+                            else:
+                                assert c.is_zero()
         # partners of unequal degree, either one the higher
         fam, W = families[2], weights[2]
-        uF = fam.PwTilde[3].scale(Polynomial.variable())
+        uF = fam.PwTilde[3] * Polynomial.variable()
         G = fam.PwTilde[1]
         assert inner_product(uF, G, W) == oracle_inner_product(uF, G, W)
         assert inner_product(G, uF, W) == oracle_inner_product(G, uF, W)
@@ -98,27 +111,6 @@ class TestInnerProduct:
                 == oracle_inner_product(F, fam.PwTilde[d], W)
             with pytest.raises(ValueError, match="image depth"):
                 inner_product_against_image(fam.PwTilde[d + 1], Y)
-
-    def test_family_orthogonality(self, families, weights):
-        for ell in (0, 1, 2, 4):
-            fam, W = families[ell], weights[ell]
-            for w1 in range(7):
-                for w2 in range(w1):
-                    assert inner_product(fam.PwTilde[w1], fam.PwTilde[w2],
-                                         W).is_zero()
-
-    def test_gram_diagonal_positive(self, families, weights):
-        for ell in (0, 1, 2, 4):
-            fam, W = families[ell], weights[ell]
-            for w in range(7):
-                G = inner_product(fam.PwTilde[w], fam.PwTilde[w], W)
-                for i in range(ell + 1):
-                    for j in range(ell + 1):
-                        c = G[i, j].constant_term()
-                        if i == j:
-                            assert c.im == 0 and c.re > 0
-                        else:
-                            assert c.is_zero()
 
     def test_trace_normalization(self, monkeypatch):
         # the verify row checks H_{w,k}(1) = (1, ..., 1) for every column k;
@@ -146,20 +138,12 @@ def members_and_images(fam, W, w_max):
 
 
 class TestSymmetry:
-    def test_tilde_operators_symmetric(self, families, weights):
-        for ell in (1, 2):
-            members, images = members_and_images(families[ell],
-                                                 weights[ell], 5)
-            for name in ("Dtilde", "Etilde"):
-                assert symmetry_check(build_operator(name, ell), members,
-                                      images) is None
-
     def test_skew_multiplication_not_symmetric(self, families, weights):
         iu = Polynomial([ZERO, GaussianRational(0, 1)])
         op = MatrixODEOperator(
             A2=MatrixPolynomial.zeros(2, 2),
             A1=MatrixPolynomial.zeros(2, 2),
-            A0=MatrixPolynomial.identity(2).scale(iu),
+            A0=MatrixPolynomial.identity(2) * iu,
         )
         members, images = members_and_images(families[1], weights[1], 2)
         assert symmetry_check(op, members, images) \
@@ -176,7 +160,7 @@ class TestSymmetry:
                 return op
             u = Polynomial.variable()
             return dataclasses.replace(
-                op, A0=op.A0 + MatrixPolynomial.identity(ell + 1).scale(u))
+                op, A0=op.A0 + MatrixPolynomial.identity(ell + 1) * u)
 
         monkeypatch.setattr(cli, "build_operator", raised)
         assert [label for label, w in cli.verify_rows(1, 1) if w] \
@@ -244,8 +228,8 @@ class TestLDU:
     def test_reassembly(self, weights):
         for ell in (0, 1, 2, 4):
             W = weights[ell]
+            # L Dg Uf = poly_part is a verify row
             L, Dg, Uf = ldu_decompose(W)
-            assert L * Dg * Uf == W.poly_part
             n = ell + 1
             for i in range(n):
                 assert L[i, i] == Polynomial([1])

@@ -73,7 +73,7 @@ class TestBuildStructures:
     def test_B_is_half_C_minus_S1(self):
         for ell in (0, 1, 2, 4, 6):
             st = build_structures(ell)
-            assert st.B == (st.C - st.S1).scale(Fraction(1, 2))
+            assert st.B == (st.C - st.S1) * Fraction(1, 2)
 
     def test_negative_ell_rejected(self):
         with pytest.raises(ValueError):
