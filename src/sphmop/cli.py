@@ -13,8 +13,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .gaussian import GaussianRational, ZERO, format_gaussian
 from .polynomials import MatrixPolynomial, mismatch
 from .structure import build_structures, eigen_ledger
@@ -24,7 +22,6 @@ from .orthogonality import (build_weight, inner_product, symmetry_check,
                             ldu_decompose, commutant,
                             block_offdiagonal_is_zero, weighted_image,
                             inner_product_against_image)
-from . import geometry
 
 
 def poly_to_json(p):
@@ -242,7 +239,7 @@ def _cmd_weight(args):
     W = build_weight(args.ell)
     samples = []
     for u in us:
-        pref = (2.0 / np.pi) * np.sqrt(max(0.0, 1.0 - u * u))
+        pref = (2.0 / math.pi) * math.sqrt(max(0.0, 1.0 - u * u))
         vals = W.poly_part.evaluate(u)
         samples.append({
             "u": u,
@@ -289,6 +286,7 @@ def _cmd_reconstruct(args):
     for t, theta in zip(texts, thetas):
         if not math.isfinite(theta):
             raise ValueError(f"--theta value {t!r} is not a finite number")
+    from . import geometry   # loads numpy and scipy, which exact commands skip
     out = []
     for t in thetas:
         g = geometry.plane_rotation_14(t)
@@ -302,11 +300,9 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_cover(args):
+    from . import geometry   # loads numpy and scipy, which exact commands skip
     with open(args.matrix) as fh:
-        try:
-            g = np.array(json.load(fh), dtype=float)
-        except (TypeError, ValueError):   # an object, a string, ragged
-            raise ValueError("expected a 4x4 nested list of numbers")
+        g = json.load(fh)
     a, b = geometry.wedge_cover(g)
     _print_json({"a": a.tolist(), "b": b.tolist()})
     return 0

@@ -15,8 +15,6 @@ def _as_fraction(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 
@@ -41,11 +39,11 @@ class GaussianRational:
 
     @staticmethod
     def of(x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+        z = _operand(x)
+        if z is NotImplemented:
+            raise TypeError(
+                f"cannot coerce {type(x).__name__} to GaussianRational")
+        return z
 
     # -- predicates ----------------------------------------------------
 
@@ -55,7 +53,9 @@ class GaussianRational:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = GaussianRational.of(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         if not other.re and not other.im:
             return self
         if not self.re and not self.im:
@@ -68,18 +68,19 @@ class GaussianRational:
         return _make(-self.re, -self.im)
 
     def __sub__(self, other):
-        other = GaussianRational.of(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         return _make(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return GaussianRational.of(other) - self
+        other = _operand(other)
+        return other if other is NotImplemented else other - self
 
     def __mul__(self, other):
-        try:
-            other = GaussianRational.of(other)
-        except TypeError:
-            # let the other operand's reflected product decide
-            return NotImplemented
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         a, b, c, d = self.re, self.im, other.re, other.im
         # zero fast-paths matter: most structure constants are real or
         # purely imaginary, and Fraction multiplication is not cheap
@@ -102,7 +103,9 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.of(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         n = other.re * other.re + other.im * other.im
         if not n:
             raise ZeroDivisionError("division by zero in Q(i)")
@@ -110,7 +113,8 @@ class GaussianRational:
         return GaussianRational((a * c + b * d) / n, (b * c - a * d) / n)
 
     def __rtruediv__(self, other):
-        return GaussianRational.of(other) / self
+        other = _operand(other)
+        return other if other is NotImplemented else other / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -153,6 +157,17 @@ class GaussianRational:
 
 
 _FR_ZERO = Fraction(0)
+
+
+def _operand(x):
+    """x as a GaussianRational, or NotImplemented when x is no int, Fraction
+    or GaussianRational: an arithmetic method returns that, so Python tries
+    the other operand's reflected method."""
+    if isinstance(x, GaussianRational):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return GaussianRational(x)
+    return NotImplemented
 
 
 def _make(re: Fraction, im: Fraction) -> GaussianRational:

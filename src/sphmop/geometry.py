@@ -32,16 +32,23 @@ _BASIS = _SQ * np.array([
 ])
 
 
-def check_rotation(g: np.ndarray, tol: float = 1e-9):
-    g = np.asarray(g, dtype=float)
-    if g.shape not in ((3, 3), (4, 4)):
-        raise ValueError("expected a 3x3 or 4x4 matrix")
-    n = len(g)
+_TOL = 1e-9   # the single-operation tolerance above
+
+
+def check_rotation(g, n: int) -> np.ndarray:
+    """g as an n x n float array, if it is a rotation within _TOL.  The one
+    input gate of this layer: every function taking a rotation calls it."""
+    try:
+        g = np.asarray(g, dtype=float)
+    except (TypeError, ValueError):   # an object, a string, ragged
+        g = None
+    if g is None or g.shape != (n, n):
+        raise ValueError(f"expected a {n}x{n} nested list of numbers")
     if not np.all(np.isfinite(g)):
         raise ValueError("matrix has a non-finite entry")
-    if np.max(np.abs(g.T @ g - np.eye(n))) > tol:
+    if np.max(np.abs(g.T @ g - np.eye(n))) > _TOL:
         raise ValueError("matrix is not orthogonal within tolerance")
-    if abs(np.linalg.det(g) - 1.0) > tol:
+    if abs(np.linalg.det(g) - 1.0) > _TOL:
         raise ValueError("determinant is not 1 within tolerance")
     return g
 
@@ -55,14 +62,11 @@ def wedge_action(g: np.ndarray) -> np.ndarray:
     return q
 
 
-def wedge_cover(g: np.ndarray, tol: float = 1e-9):
+def wedge_cover(g) -> tuple[np.ndarray, np.ndarray]:
     """The double cover map: g in SO(4) to the pair (a, b) in
     SO(3) x SO(3), with kernel {I, -I}."""
-    g = check_rotation(g, tol)
-    if g.shape != (4, 4):
-        raise ValueError("wedge_cover needs a 4x4 rotation")
-    q6 = _BASIS.T @ wedge_action(g) @ _BASIS
-    if np.max(np.abs(q6[:3, 3:])) > tol or np.max(np.abs(q6[3:, :3])) > tol:
+    q6 = _BASIS.T @ wedge_action(check_rotation(g, 4)) @ _BASIS
+    if max(np.max(np.abs(q6[:3, 3:])), np.max(np.abs(q6[3:, :3]))) > _TOL:
         raise ValueError("off-diagonal blocks do not vanish; input is not "
                          "a rotation within tolerance")
     return q6[:3, :3].copy(), q6[3:, 3:].copy()
@@ -98,10 +102,7 @@ def rep_exp(rep: RepSO3, k: np.ndarray) -> np.ndarray:
     rotation generators fixed by RepSO3 (checked against the diagonal
     one-parameter subgroup in the tests).
     """
-    k = check_rotation(np.asarray(k, dtype=float))
-    if k.shape != (3, 3):
-        raise ValueError("rep_exp needs a 3x3 rotation")
-    r = Rotation.from_matrix(k).as_rotvec()
+    r = Rotation.from_matrix(check_rotation(k, 3)).as_rotvec()
     gen = -r[0] * rep.Y3 + r[1] * rep.Y2 - r[2] * rep.Y1
     return expm(gen)
 
@@ -147,9 +148,7 @@ def reconstruct_phi(ell: int, w: int, k: int, g: np.ndarray) -> np.ndarray:
     with y0 = (sqrt(1-u^2), 0, 0) and k0 the section rotation, H(g) is the
     conjugate by pi(k0) of the diagonal matrix of the one-variable vector
     H(u)."""
-    g = check_rotation(np.asarray(g, dtype=float))
-    if g.shape != (4, 4):
-        raise ValueError("reconstruct_phi needs a 4x4 rotation")
+    g = check_rotation(g, 4)
     x = g[:, 3]
     u = float(np.clip(x[3], -1.0, 1.0))
     k0 = section_matrix(x[:3])
@@ -170,14 +169,3 @@ def plane_rotation_14(theta: float) -> np.ndarray:
     g[3, 0] = -s
     g[3, 3] = c
     return g
-
-
-def random_rotation(rng, dim: int) -> np.ndarray:
-    """Haar-ish random rotation from the QR decomposition of a Gaussian
-    matrix, with the sign fix making it det +1."""
-    m = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(m)
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0:
-        q[:, [0, 1]] = q[:, [1, 0]]
-    return q

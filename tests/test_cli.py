@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, determinism, and output formats."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -255,3 +258,19 @@ class TestOutputFormats:
         doc = json.loads(out)
         assert np.allclose(doc["a"], np.eye(3))
         assert np.allclose(doc["b"], np.eye(3))
+
+
+class TestImportBoundary:
+    def test_exact_commands_load_no_numeric_stack(self):
+        # a fresh interpreter, since this one has loaded numpy already
+        script = (
+            "import sys, sphmop.cli\n"
+            "code = sphmop.cli.main(['verify', '--ell', '2', '--wmax', '1'])\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.partition('.')[0] in ('numpy', 'scipy'))\n"
+            "print(code, loaded)\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "0 []"

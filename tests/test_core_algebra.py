@@ -174,16 +174,22 @@ class TestMatrixPolynomial:
             matpoly_inverse_triangular(nonconst_diag)
 
     def test_reflected_scalar_products(self):
-        # a scalar or Polynomial on the left reaches MatrixPolynomial's
-        # reflected product; an operand no exact type knows is a TypeError
+        # a scalar or Polynomial on the left reaches the right operand's
+        # reflected method; an operand no exact type knows is a TypeError
         M = MatrixPolynomial.identity(2)
         p = Polynomial([1, 2])
         assert p * M == M * p
         assert GaussianRational(2) * M == M * 2
+        assert ONE + p == p + ONE
+        assert ONE - p == -(p - ONE)
         with pytest.raises(TypeError):
             p + 1.5
         with pytest.raises(TypeError):
             p * 1.5
+        with pytest.raises(TypeError):
+            ONE / p
+        with pytest.raises(TypeError):
+            ONE + 1.5
 
     @settings(max_examples=40, deadline=None)
     @given(triangular_matrices())

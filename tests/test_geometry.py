@@ -16,6 +16,17 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def random_rotation(rng, dim):
+    """Haar-ish random rotation from the QR decomposition of a Gaussian
+    matrix, with the sign fix making it det +1."""
+    m = rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(m)
+    q = q @ np.diag(np.sign(np.diag(r)))
+    if np.linalg.det(q) < 0:
+        q[:, [0, 1]] = q[:, [1, 0]]
+    return q
+
+
 def rotation_y(theta):
     """Rotation about the first axis, mixing coordinates 2 and 3."""
     c, s = np.cos(theta), np.sin(theta)
@@ -38,8 +49,8 @@ class TestCover:
 
     def test_homomorphism(self, rng):
         for _ in range(20):
-            g1 = geo.random_rotation(rng, 4)
-            g2 = geo.random_rotation(rng, 4)
+            g1 = random_rotation(rng, 4)
+            g2 = random_rotation(rng, 4)
             a1, b1 = geo.wedge_cover(g1)
             a2, b2 = geo.wedge_cover(g2)
             a12, b12 = geo.wedge_cover(g1 @ g2)
@@ -48,24 +59,25 @@ class TestCover:
 
     def test_images_are_rotations(self, rng):
         for _ in range(10):
-            a, b = geo.wedge_cover(geo.random_rotation(rng, 4))
-            geo.check_rotation(a)
-            geo.check_rotation(b)
+            a, b = geo.wedge_cover(random_rotation(rng, 4))
+            geo.check_rotation(a, 3)
+            geo.check_rotation(b, 3)
 
     def test_embedded_subgroup_is_fixed(self, rng):
         # the basis of the exterior square is aligned so that the first
         # factor of the cover restricts to the identity on the embedded
         # copy of the smaller group
         for _ in range(10):
-            k = geo.random_rotation(rng, 3)
+            k = random_rotation(rng, 3)
             a, b = geo.wedge_cover(geo.embed_so3(k))
             assert np.max(np.abs(a - k)) < 1e-9
 
     def test_rejects_non_rotation(self):
         with pytest.raises(ValueError):
             geo.wedge_cover(2.0 * np.eye(4))
-        with pytest.raises(ValueError):
-            geo.wedge_cover(np.eye(3))
+        for bad in (np.eye(3), [[1.0, 0.0], [0.0]], "eye", {"a": 1}):
+            with pytest.raises(ValueError, match="4x4 nested list"):
+                geo.wedge_cover(bad)
 
     def test_rejects_non_finite(self):
         # NaN compares false with every tolerance, so it must be caught first
@@ -74,7 +86,7 @@ class TestCover:
                 g = np.eye(n)
                 g[n - 1, n - 1] = bad
                 with pytest.raises(ValueError, match="non-finite"):
-                    geo.check_rotation(g)
+                    geo.check_rotation(g, n)
 
 
 class TestRepresentation:
@@ -99,8 +111,8 @@ class TestRepresentation:
     def test_homomorphism(self, rng):
         rep = geo.RepSO3(2)
         for _ in range(10):
-            k1 = geo.random_rotation(rng, 3)
-            k2 = geo.random_rotation(rng, 3)
+            k1 = random_rotation(rng, 3)
+            k2 = random_rotation(rng, 3)
             lhs = geo.rep_exp(rep, k1 @ k2)
             rhs = geo.rep_exp(rep, k1) @ geo.rep_exp(rep, k2)
             assert np.max(np.abs(lhs - rhs)) < 1e-8
@@ -109,7 +121,7 @@ class TestRepresentation:
         for ell in (1, 2, 4):
             rep = geo.RepSO3(ell)
             for _ in range(5):
-                p = geo.rep_exp(rep, geo.random_rotation(rng, 3))
+                p = geo.rep_exp(rep, random_rotation(rng, 3))
                 # unitary for the diagonal invariant form, not the flat one;
                 # determinant has modulus 1 regardless
                 assert abs(abs(np.linalg.det(p)) - 1.0) < 1e-9
@@ -117,7 +129,7 @@ class TestRepresentation:
     def test_auxiliary_function_restricts_to_rep(self, rng):
         rep = geo.RepSO3(2)
         for _ in range(10):
-            k = geo.random_rotation(rng, 3)
+            k = random_rotation(rng, 3)
             lhs = geo.phi_pi(rep, geo.embed_so3(k))
             assert np.max(np.abs(lhs - geo.rep_exp(rep, k))) < 1e-8
 
@@ -136,7 +148,7 @@ class TestSection:
 
     def test_excluded_ray_fallback(self):
         A = geo.section_matrix(np.array([-2.0, 0.0, 0.0]))
-        geo.check_rotation(A)
+        geo.check_rotation(A, 3)
         assert np.max(np.abs(A @ np.array([2.0, 0, 0])
                              - np.array([-2.0, 0, 0]))) < 1e-12
 
@@ -152,7 +164,7 @@ class TestReconstruction:
 
     def test_trivial_function(self, rng):
         for _ in range(5):
-            g = geo.random_rotation(rng, 4)
+            g = random_rotation(rng, 4)
             rep = geo.RepSO3(2)
             phi = geo.reconstruct_phi(2, 0, 0, g)
             assert np.max(np.abs(phi - geo.phi_pi(rep, g))) < 1e-8
@@ -161,9 +173,9 @@ class TestReconstruction:
         # Phi(k1 g k2) = pi(k1) Phi(g) pi(k2) over a hundred random samples
         rep = geo.RepSO3(2)
         for _ in range(100):
-            g = geo.random_rotation(rng, 4)
-            k1 = geo.random_rotation(rng, 3)
-            k2 = geo.random_rotation(rng, 3)
+            g = random_rotation(rng, 4)
+            k1 = random_rotation(rng, 3)
+            k2 = random_rotation(rng, 3)
             lhs = geo.reconstruct_phi(
                 2, 1, 1, geo.embed_so3(k1) @ g @ geo.embed_so3(k2))
             rhs = (geo.rep_exp(rep, k1)
@@ -182,14 +194,14 @@ class TestReconstruction:
             delta = np.arcsin(offset / np.sin(theta))
             g = (geo.embed_so3(rotation_z(np.pi - delta))
                  @ geo.plane_rotation_14(theta)
-                 @ geo.embed_so3(geo.random_rotation(rng, 3)))
+                 @ geo.embed_so3(random_rotation(rng, 3)))
             x = g[:3, 3]
             assert x[0] < 0 and abs(np.hypot(x[1], x[2]) - offset) < 1e-15
             phi = geo.reconstruct_phi(2, 1, 1, g)
             assert np.all(np.isfinite(phi))
             for _ in range(10):
-                k1 = geo.random_rotation(rng, 3)
-                k2 = geo.random_rotation(rng, 3)
+                k1 = random_rotation(rng, 3)
+                k2 = random_rotation(rng, 3)
                 lhs = geo.reconstruct_phi(
                     2, 1, 1, geo.embed_so3(k1) @ g @ geo.embed_so3(k2))
                 rhs = geo.rep_exp(rep, k1) @ phi @ geo.rep_exp(rep, k2)
@@ -198,7 +210,7 @@ class TestReconstruction:
     def test_central_parity(self, rng):
         # Phi(-g) = (-1)^(w+k) Phi(g): the center acts by the parity of w+k
         for _ in range(5):
-            g = geo.random_rotation(rng, 4)
+            g = random_rotation(rng, 4)
             for ell, w, k in ((2, 1, 1), (2, 2, 0), (2, 0, 2), (4, 1, 2)):
                 sign = (-1.0) ** (w + k)
                 diff = (geo.reconstruct_phi(ell, w, k, -g)
