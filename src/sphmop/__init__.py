@@ -4,8 +4,7 @@ the 3-sphere, with a numeric group-level reconstruction layer."""
 from .gaussian import GaussianRational, format_gaussian, parse_gaussian
 from .polynomials import (Polynomial, MatrixPolynomial,
                           matpoly_inverse_triangular)
-from .hypergeometric import (hyp_terminating, gegenbauer, hahn_value,
-                             racah_value)
+from .hypergeometric import hyp_terminating, hahn_value, racah_value
 from .structure import (StructureSet, build_structures, build_L, EigenLedger,
                         eigen_ledger)
 from .family import (CoefficientVector, FamilyPackage, coeffs_by_recursion,

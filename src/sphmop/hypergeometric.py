@@ -8,7 +8,6 @@ checked in the tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .gaussian import GaussianRational
 from .polynomials import Polynomial
@@ -65,14 +64,6 @@ def hyp2f1_poly_u(a, b, c) -> Polynomial:
     """The terminating 2F1(a, b; c; (1-u)/2) expanded as a Polynomial in u."""
     s = Polynomial([Fraction(1, 2), Fraction(-1, 2)])
     return hyp_terminating([a, b], [c], s)
-
-
-def gegenbauer(n: int, lam: int) -> Polynomial:
-    """Gegenbauer polynomial C_n^lam(u) as an exact Polynomial in u."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    lead = comb(n + 2 * lam - 1, n)
-    return hyp2f1_poly_u(-n, n + 2 * lam, Fraction(2 * lam + 1, 2)) * lead
 
 
 def hahn_value(k: int, j: int, ell: int) -> GaussianRational:

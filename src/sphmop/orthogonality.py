@@ -221,7 +221,8 @@ class Reduction:
 
 
 def commutant(W: WeightMatrix):
-    """Constant matrices commuting with poly_part(u) for every u.
+    """Constant matrices commuting with poly_part(u) for every u: the
+    intersection of the commutants of its coefficient matrices W_m.
 
     Returns (dimension, basis, reduction) where reduction holds an exact
     block-diagonalizing matrix R when the dimension exceeds one (columns
@@ -231,21 +232,47 @@ def commutant(W: WeightMatrix):
     n = W.ell + 1
     P = W.poly_part
     deg = P.degree() or 0
-    power_mats = [P.coefficient_matrix(m) for m in range(deg + 1)]
-    # unknowns: entries of A, row-major
+
+    def unvec(v):
+        return [v[i * n:(i + 1) * n] for i in range(n)]
+
+    # the commutant of the leading coefficient W_deg, from its n^2 x n^2
+    # system in the entries of A (row-major):
+    # (A W_deg - W_deg A)[i, j] = sum_t A[i,t] W_deg[t,j] - W_deg[i,t] A[t,j]
+    # (W_deg is antidiagonal for the family weights, so this system is
+    # sparse and leaves only n unknowns for the rest)
+    top = P.coefficient_matrix(deg)
     rows = []
-    for Pm in power_mats:
-        for i in range(n):
-            for j in range(n):
-                # (A Pm - Pm A)[i, j] = sum_t A[i,t] Pm[t,j] - Pm[i,t] A[t,j]
-                row = [ZERO] * (n * n)
-                for t in range(n):
-                    row[i * n + t] = row[i * n + t] + Pm[t][j]
-                    row[t * n + j] = row[t * n + j] - Pm[i][t]
-                rows.append(row)
-    basis_vecs = exact_linalg.nullspace(rows)
-    basis = [[[v[i * n + j] for j in range(n)] for i in range(n)]
-             for v in basis_vecs]
+    for i in range(n):
+        for j in range(n):
+            row = [ZERO] * (n * n)
+            for t in range(n):
+                row[i * n + t] = row[i * n + t] + top[t][j]
+                row[t * n + j] = row[t * n + j] - top[i][t]
+            rows.append(row)
+    basis = exact_linalg.nullspace(rows)
+    # intersect with the commutant of each lower W_m: A = sum_c x_c B_c
+    # commutes with W_m iff sum_c x_c [B_c, W_m] = 0, an n^2 x d system in x
+    for m in reversed(range(deg)):
+        if len(basis) <= 1:
+            break
+        Wm = P.coefficient_matrix(m)
+        brackets = []
+        for v in basis:
+            BW = exact_linalg.mat_mul(unvec(v), Wm)
+            WB = exact_linalg.mat_mul(Wm, unvec(v))
+            brackets.append([x - y for r, s in zip(BW, WB)
+                             for x, y in zip(r, s)])
+        xs = exact_linalg.nullspace([list(row) for row in zip(*brackets)])
+        basis = [[sum((xc * v[k] for xc, v in zip(x, basis)
+                       if not xc.is_zero()), ZERO) for k in range(n * n)]
+                 for x in xs]
+    # canonical basis, as one nullspace of the stacked system gives it: the
+    # vector of free column f is 1 at f, 0 at the other free columns, and
+    # f is its last nonzero entry; so rref the vectors with reversed columns
+    vecs = [v[::-1] for v in basis]
+    exact_linalg.rref(vecs)
+    basis = [unvec(v[::-1]) for v in reversed(vecs)]
     dim = len(basis)
     if dim <= 1:
         return dim, basis, None

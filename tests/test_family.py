@@ -9,10 +9,10 @@ from sphmop.gaussian import GaussianRational, ZERO, ONE, I
 from sphmop.polynomials import Polynomial, MatrixPolynomial
 from sphmop.family import (coeffs_by_recursion, coeffs_by_racah, build_Pw,
                            eval_H)
-from sphmop.hypergeometric import gegenbauer
 from sphmop.structure import build_L, eigen_ledger
 
 from conftest import GRID_ELLS, verify_row
+from test_hypergeometric import gegenbauer
 
 
 def psi_entry_reference(ell: int, j: int, k: int) -> Polynomial:
@@ -144,7 +144,6 @@ class TestEvalH:
             assert all(abs(x - 1.0) < 1e-12 for x in h)
 
     def test_zonal_case_is_normalized_gegenbauer(self):
-        from sphmop.hypergeometric import gegenbauer
         for n in range(1, 7):
             C = gegenbauer(n, 1)
             for u in (-0.75, -0.2, 0.3, 0.8):

@@ -8,7 +8,8 @@ import pytest
 
 from sphmop import geometry as geo
 from sphmop.family import eval_H
-from sphmop.hypergeometric import gegenbauer
+
+from test_hypergeometric import gegenbauer
 
 
 @pytest.fixture(scope="module")

@@ -7,8 +7,14 @@ import pytest
 
 from sphmop.gaussian import GaussianRational
 from sphmop.polynomials import Polynomial
-from sphmop.hypergeometric import (hyp_terminating, gegenbauer, hahn_value,
-                                   racah_value)
+from sphmop.hypergeometric import (hyp_terminating, hyp2f1_poly_u,
+                                   hahn_value, racah_value)
+
+
+def gegenbauer(n, lam):
+    """Gegenbauer polynomial C_n^lam(u) as an exact Polynomial in u."""
+    return hyp2f1_poly_u(-n, n + 2 * lam, Fraction(2 * lam + 1, 2)) \
+        * comb(n + 2 * lam - 1, n)
 
 
 class TestTerminatingSeries:

@@ -6,12 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sphmop import cli
+from sphmop import cli, exact_linalg
 from sphmop.family import build_family
 from sphmop.gaussian import GaussianRational, ZERO
 from sphmop.operators import apply, build_operator, MatrixODEOperator
 from sphmop.polynomials import MatrixPolynomial, Polynomial, mismatch
-from sphmop.orthogonality import (chebyshev_moment, inner_product,
+from sphmop.orthogonality import (WeightMatrix, build_weight,
+                                  chebyshev_moment, inner_product,
                                   inner_product_against_image,
                                   symmetry_check, ldu_decompose, commutant,
                                   block_offdiagonal_is_zero, weighted_image)
@@ -239,24 +240,98 @@ class TestLDU:
                     assert Uf[j, i].is_zero()
 
 
+def oracle_commutant_basis(W):
+    """The commutant basis from one stacked system: [A, W_m] = 0 for every
+    coefficient W_m of poly_part at once, (deg + 1) n^2 rows in the n^2
+    entries of A (row-major), solved by a single nullspace."""
+    n = W.ell + 1
+    P = W.poly_part
+    rows = []
+    for m in range((P.degree() or 0) + 1):
+        Pm = P.coefficient_matrix(m)
+        for i in range(n):
+            for j in range(n):
+                # (A Pm - Pm A)[i, j] = sum_t A[i,t] Pm[t,j] - Pm[i,t] A[t,j]
+                row = [ZERO] * (n * n)
+                for t in range(n):
+                    row[i * n + t] = row[i * n + t] + Pm[t][j]
+                    row[t * n + j] = row[t * n + j] - Pm[i][t]
+                rows.append(row)
+    return [[v[i * n:(i + 1) * n] for i in range(n)]
+            for v in exact_linalg.nullspace(rows)]
+
+
+def in_span(A, basis):
+    """True when the constant matrix A is a combination of basis."""
+    n = len(A)
+    cols = [[B[i][j] for B in basis] for i in range(n) for j in range(n)]
+    try:
+        exact_linalg.solve(cols, [A[i][j] for i in range(n)
+                                  for j in range(n)])
+    except ValueError:
+        return False
+    return True
+
+
 class TestCommutant:
-    def test_dimensions(self, weights):
-        assert commutant(weights[0])[0] == 1
-        assert commutant(weights[2])[0] == 2
-        assert commutant(weights[4])[0] >= 2
-        assert commutant(weights[6])[0] >= 2
+    def test_dimensions(self):
+        # Koelink-van Pruijssen-Roman: the commutant is span{I, J} with J
+        # the reversal, for every ell >= 1; so the reduction has two blocks
+        # of sizes floor(n/2) and ceil(n/2)
+        assert commutant(build_weight(0))[0] == 1
+        for ell in range(1, 7):
+            n = ell + 1
+            dim, basis, red = commutant(build_weight(ell))
+            assert dim == 2, ell
+            assert red.block_sizes == (n // 2, n - n // 2), ell
+            J = [[GaussianRational(int(i + j == ell)) for j in range(n)]
+                 for i in range(n)]
+            assert in_span(J, basis), ell
+
+    def test_agrees_with_stacked_system_oracle(self):
+        # the basis is exactly the one-shot nullspace's, list for list, so
+        # the reduction built from it and `sphmop reduce` are unchanged
+        for ell in range(7):
+            W = build_weight(ell)
+            assert commutant(W)[1] == oracle_commutant_basis(W), ell
+
+    def test_hand_built_weights(self, monkeypatch):
+        # weights the family never produces, one per branch of the
+        # intersection: no lower coefficient, a shrinking basis, and the
+        # early exit at dimension one
+        u = Polynomial.variable()
+        n = 3
+        distinct = MatrixPolynomial.diagonal([1, 2, 3])
+        ones = MatrixPolynomial([[1] * n for _ in range(n)])
+        cases = [
+            # constant scalar: every matrix commutes
+            (MatrixPolynomial.identity(n) * 5, n * n, 1),
+            # the leading coefficient I leaves all n^2; W_0 with distinct
+            # entries cuts them down to the diagonal
+            (distinct + MatrixPolynomial.identity(n) * u, n, 2),
+            # W_2, all ones, leaves a 5-dimensional commutant; W_1 cuts it
+            # to span{I}, so W_0 is never reached
+            (ones + distinct * u + ones * (u * u), 1, 2),
+        ]
+        # the intersection's systems have n^2 rows, the reduction's n
+        calls = []
+        nullspace = exact_linalg.nullspace
+        monkeypatch.setattr(exact_linalg, "nullspace",
+                            lambda m: calls.append(len(m)) or nullspace(m))
+        for poly_part, dim, systems in cases:
+            W = WeightMatrix(ell=n - 1, poly_part=poly_part)
+            oracle = oracle_commutant_basis(W)
+            calls.clear()
+            result = commutant(W)
+            assert result[0] == dim
+            assert result[1] == oracle
+            assert calls.count(n * n) == systems
 
     def test_identity_in_span(self, weights):
         # the identity commutes, so it must be a combination of the basis
-        from sphmop import exact_linalg
         for ell in (0, 2, 4):
             dim, basis, _ = commutant(weights[ell])
-            n = ell + 1
-            cols = [[mat[i][j] for mat in basis]
-                    for i in range(n) for j in range(n)]
-            rhs = [GaussianRational(1 if i == j else 0)
-                   for i in range(n) for j in range(n)]
-            exact_linalg.solve(cols, rhs)   # raises if inconsistent
+            assert in_span(exact_linalg.mat_identity(ell + 1), basis)
 
     def test_basis_members_commute_with_weight(self, weights):
         for ell in (2, 4):
