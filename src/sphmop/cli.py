@@ -192,12 +192,16 @@ def verify_rows(ell: int, wmax: int):
     L, Dg, Uf = ldu_decompose(W)
     yield ("LDU reassembly equals the weight polynomial part",
            mismatch(L * Dg * Uf, W.poly_part))
+    # the commutant is span{I, J}, J the reversal: dimension 2 for ell >= 1
     dim, basis, reduction = commutant(W)
-    if reduction is None:
-        witness = None if dim == 1 else f"dimension {dim} != 1"
-    else:
+    expected = 1 if ell == 0 else 2
+    if dim != expected:
+        witness = f"dimension {dim} != {expected}"
+    elif reduction is not None:
         witness = block_offdiagonal_is_zero(W, reduction.R,
                                             reduction.block_sizes)
+    else:
+        witness = None
     yield ("commutant dimension and block reduction", witness)
 
 

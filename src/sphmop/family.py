@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .gaussian import GaussianRational, ZERO, ONE
 from .polynomials import (Polynomial, MatrixPolynomial,
                           matpoly_inverse_triangular)
-from .hypergeometric import hyp2f1_poly_u, racah_value, pochhammer
+from .hypergeometric import hyp_terminating, racah_value
 from .structure import build_L, build_structures, eigen_ledger
 
 
@@ -41,7 +41,7 @@ def coeffs_by_recursion(ell: int, w: int, k: int) -> CoefficientVector:
         raise ValueError("need w >= 0 and 0 <= k <= ell")
     ledger = eigen_ledger(ell, w, k)
     mu = GaussianRational(ledger.mu)
-    L = build_L(ell, n=w + k).constant_value()
+    L = build_L(ell, n=w + k)
     a = [ONE] + [ZERO] * ell
     for j in range(ell):
         rhs = mu * a[j]
@@ -66,7 +66,7 @@ def coeffs_by_racah(ell: int, w: int, k: int) -> CoefficientVector:
     out = []
     minus_2i = GaussianRational(0, -2)
     for j in range(ell + 1):
-        poch = pochhammer(-w - k, j)
+        poch = (-1) ** j * perm(w + k, j)   # (-w-k)_j
         if poch == 0:
             out.append(ZERO)
             continue
@@ -80,12 +80,16 @@ def coeffs_by_racah(ell: int, w: int, k: int) -> CoefficientVector:
     return CoefficientVector(ell=ell, w=w, k=k, a=tuple(out))
 
 
-def column_entry(ell: int, w: int, k: int, j: int,
-                 a_j: GaussianRational) -> Polynomial:
+# the argument (1-u)/2 of every package entry, as a Polynomial in u
+_HALF_ONE_MINUS_U = Polynomial([Fraction(1, 2), Fraction(-1, 2)])
+
+
+def column_entry(w: int, k: int, j: int, a_j: GaussianRational) -> Polynomial:
     """Entry (j, k) of P_w: a_j * 2F1(-w-k+j, w+k+j+2; j+3/2; (1-u)/2)."""
     if a_j.is_zero():
         return Polynomial.zero()
-    f = hyp2f1_poly_u(-(w + k - j), w + k + j + 2, Fraction(2 * j + 3, 2))
+    f = hyp_terminating([-(w + k - j), w + k + j + 2],
+                        [Fraction(2 * j + 3, 2)], _HALF_ONE_MINUS_U)
     return f * a_j
 
 
@@ -94,7 +98,7 @@ def build_Pw(ell: int, w: int) -> MatrixPolynomial:
     cols = [coeffs_by_recursion(ell, w, k) for k in range(ell + 1)]
     return MatrixPolynomial.from_function(
         ell + 1, ell + 1,
-        lambda j, k: column_entry(ell, w, k, j, cols[k].a[j]),
+        lambda j, k: column_entry(w, k, j, cols[k].a[j]),
     )
 
 
@@ -133,7 +137,7 @@ def eval_H(ell: int, w: int, k: int, u: float):
         raise ValueError("u must lie in [-1, 1]")
     st = build_structures(ell)
     coeffs = coeffs_by_recursion(ell, w, k)
-    p = [complex(column_entry(ell, w, k, j, coeffs.a[j])(u))
+    p = [complex(column_entry(w, k, j, coeffs.a[j])(u))
          for j in range(ell + 1)]
     t = [(1.0 - u * u) ** (j / 2.0) for j in range(ell + 1)]
     U = st.U.constant_value()

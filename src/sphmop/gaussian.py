@@ -10,7 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _as_fraction(x) -> Fraction:
+def as_fraction(x) -> Fraction:
+    """x as a Fraction if it is an int or a Fraction, else TypeError: the
+    one rational coercion of the exact layers (a float never passes)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -29,8 +31,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        object.__setattr__(self, "re", as_fraction(re))
+        object.__setattr__(self, "im", as_fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")

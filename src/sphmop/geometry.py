@@ -148,15 +148,15 @@ def reconstruct_phi(ell: int, w: int, k: int, g: np.ndarray) -> np.ndarray:
     with y0 = (sqrt(1-u^2), 0, 0) and k0 the section rotation, H(g) is the
     conjugate by pi(k0) of the diagonal matrix of the one-variable vector
     H(u)."""
-    g = check_rotation(g, 4)
-    x = g[:, 3]
+    a, _ = wedge_cover(g)   # the one gate on g
+    x = np.asarray(g, dtype=float)[:, 3]
     u = float(np.clip(x[3], -1.0, 1.0))
     k0 = section_matrix(x[:3])
     rep = RepSO3(ell)
     pik0 = rep_exp(rep, k0)
     hdiag = np.diag(eval_H(ell, w, k, u))
     H = pik0 @ hdiag @ np.linalg.inv(pik0)
-    return H @ phi_pi(rep, g)
+    return H @ rep_exp(rep, a)
 
 
 def plane_rotation_14(theta: float) -> np.ndarray:

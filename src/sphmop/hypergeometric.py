@@ -9,16 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, as_fraction
 from .polynomials import Polynomial
-
-
-def _as_rational(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError("hypergeometric parameters must be rational")
 
 
 def hyp_terminating(numerator, denominator, z):
@@ -32,8 +24,8 @@ def hyp_terminating(numerator, denominator, z):
     accumulated as Pochhammer ratios to avoid factorial blowup, then summed
     by Horner's rule in z.
     """
-    numerator = [_as_rational(a) for a in numerator]
-    denominator = [_as_rational(b) for b in denominator]
+    numerator = [as_fraction(a) for a in numerator]
+    denominator = [as_fraction(b) for b in denominator]
     stops = [-int(a) for a in numerator if a <= 0 and a.denominator == 1]
     if not stops:
         raise ValueError("series does not terminate: no nonpositive "
@@ -60,12 +52,6 @@ def hyp_terminating(numerator, denominator, z):
     return acc
 
 
-def hyp2f1_poly_u(a, b, c) -> Polynomial:
-    """The terminating 2F1(a, b; c; (1-u)/2) expanded as a Polynomial in u."""
-    s = Polynomial([Fraction(1, 2), Fraction(-1, 2)])
-    return hyp_terminating([a, b], [c], s)
-
-
 def hahn_value(k: int, j: int, ell: int) -> GaussianRational:
     """Value 3F2(-k, -j, k+1; 1, -ell; 1), the (j, k) entry of the Hahn
     matrix U."""
@@ -78,10 +64,10 @@ def racah_value(k: int, j: int, alpha, beta, gamma, delta,
                 N: int) -> GaussianRational:
     """Racah polynomial value R_k(lambda(j)) with lambda(x) = x(x+gamma+
     delta+1), evaluated as a terminating 4F3 at unit argument."""
-    alpha = _as_rational(alpha)
-    beta = _as_rational(beta)
-    gamma = _as_rational(gamma)
-    delta = _as_rational(delta)
+    alpha = as_fraction(alpha)
+    beta = as_fraction(beta)
+    gamma = as_fraction(gamma)
+    delta = as_fraction(delta)
     if not any(p == -N for p in (alpha + 1, beta + delta + 1, gamma + 1)):
         raise ValueError("one of alpha+1, beta+delta+1, gamma+1 must be -N")
     if not 0 <= k <= N:
@@ -91,12 +77,3 @@ def racah_value(k: int, j: int, alpha, beta, gamma, delta,
         [alpha + 1, beta + delta + 1, gamma + 1],
         1,
     )
-
-
-def pochhammer(a, n: int) -> Fraction:
-    """Rising factorial (a)_n over the rationals."""
-    a = _as_rational(a)
-    out = Fraction(1)
-    for m in range(n):
-        out *= a + m
-    return out

@@ -264,9 +264,7 @@ def commutant(W: WeightMatrix):
             brackets.append([x - y for r, s in zip(BW, WB)
                              for x, y in zip(r, s)])
         xs = exact_linalg.nullspace([list(row) for row in zip(*brackets)])
-        basis = [[sum((xc * v[k] for xc, v in zip(x, basis)
-                       if not xc.is_zero()), ZERO) for k in range(n * n)]
-                 for x in xs]
+        basis = exact_linalg.mat_mul(xs, basis)
     # canonical basis, as one nullspace of the stacked system gives it: the
     # vector of free column f is 1 at f, 0 at the other free columns, and
     # f is its last nonzero entry; so rref the vectors with reversed columns
@@ -287,10 +285,9 @@ def commutant(W: WeightMatrix):
     Astar = exact_linalg.mat_conj_transpose(A)
     B = [[A[i][j] + Astar[i][j] for j in range(n)] for i in range(n)]
     if is_scalar(B):
-        c = B[0][0]
-        half_c = c * GaussianRational(Fraction(1, 2))
-        B = [[I * (A[i][j] - (half_c if i == j else ZERO))
-              for j in range(n)] for i in range(n)]
+        # A is skew-Hermitian plus a scalar, so i(A - A*) is self-adjoint
+        B = [[I * (A[i][j] - Astar[i][j]) for j in range(n)]
+             for i in range(n)]
     # exact spectral decomposition of the self-adjoint element B
     minpoly = _minimal_polynomial(B)
     roots = _rational_roots(minpoly)

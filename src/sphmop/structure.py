@@ -1,10 +1,10 @@
 """Constant structure matrices indexed by ell, the tridiagonal matrix L, and
 the eigenvalue ledger linking the two index conventions.
 
-All matrices are (ell+1) x (ell+1) constant MatrixPolynomials over the
-Gaussian rationals, so downstream operator identities stay exact.  ell may be
-any nonnegative integer; for odd ell the half-integer ell/2 is kept as an
-exact rational, although only even ell correspond to K-types of SO(3).
+All matrices are (ell+1) x (ell+1) and constant over the Gaussian rationals
+(MatrixPolynomials; L a plain nested list), so identities stay exact.  ell
+may be any nonnegative integer; for odd ell the half-integer ell/2 is kept as
+an exact rational, although only even ell correspond to K-types of SO(3).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .gaussian import GaussianRational, I
+from .gaussian import GaussianRational, I, ZERO
 from .polynomials import MatrixPolynomial
 from .hypergeometric import hahn_value
 from . import exact_linalg
@@ -122,24 +122,25 @@ def build_structures(ell: int) -> StructureSet:
                         UstarU=UstarU)
 
 
-def build_L(ell: int, n: int) -> MatrixPolynomial:
-    """Tridiagonal matrix L at the spectral point lambda = -n(n+2).
+def build_L(ell: int, n: int) -> list:
+    """Tridiagonal matrix L at the spectral point lambda = -n(n+2), as
+    nested lists of GaussianRational.
 
     The subdiagonal depends on n through the factors (n-j+1)(n+j+1).
     """
     size = ell + 1
-    entries = {}
+    L = [[ZERO] * size for _ in range(size)]
     for j in range(1, size):
-        entries[(j, j - 1)] = I * GaussianRational(
+        L[j][j - 1] = I * GaussianRational(
             Fraction(j * (ell - j + 1), 2 * (2 * j - 1) * (2 * j + 1))
         ) * GaussianRational((n - j + 1) * (n + j + 1))
     for j in range(size):
-        entries[(j, j)] = GaussianRational(Fraction(-j * (j + 1), 2))
+        L[j][j] = GaussianRational(Fraction(-j * (j + 1), 2))
     for j in range(size - 1):
-        entries[(j, j + 1)] = -I * GaussianRational(
+        L[j][j + 1] = -I * GaussianRational(
             Fraction((j + 1) * (ell + j + 2), 2)
         )
-    return _from_entries(size, entries)
+    return L
 
 
 @dataclass(frozen=True)

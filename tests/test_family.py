@@ -51,14 +51,13 @@ class TestCoefficients:
 
     def test_w0_closed_form(self):
         # a_j = (2i)^j (-k)_j j!/(2j)! at w = 0
-        from math import factorial
-        from sphmop.hypergeometric import pochhammer
+        from math import factorial, perm
         for ell in (1, 2, 4, 6):
             for k in range(ell + 1):
                 a = coeffs_by_recursion(ell, 0, k).a
                 for j in range(ell + 1):
                     expected = (GaussianRational(0, 2) ** j
-                                * GaussianRational(pochhammer(-k, j))
+                                * GaussianRational((-1) ** j * perm(k, j))
                                 * GaussianRational(
                                     Fraction(factorial(j),
                                              factorial(2 * j))))
@@ -79,7 +78,7 @@ class TestCoefficients:
             for w in range(4):
                 for k in range(ell + 1):
                     led = eigen_ledger(ell, w, k)
-                    L = build_L(ell, n=w + k).constant_value()
+                    L = build_L(ell, n=w + k)
                     a = list(coeffs_by_recursion(ell, w, k).a)
                     mu = GaussianRational(led.mu)
                     for r in range(ell + 1):

@@ -163,6 +163,16 @@ class TestReconstruction:
             phi = geo.reconstruct_phi(ell, w, k, np.eye(4))
             assert np.max(np.abs(phi - np.eye(ell + 1))) < 1e-9
 
+    def test_gates_g_once(self, monkeypatch):
+        # g is the only input from outside; the rotations derived from it
+        # (the section k0 and the cover image a) pass the 3x3 gate
+        sizes = []
+        check = geo.check_rotation
+        monkeypatch.setattr(geo, "check_rotation",
+                            lambda g, n: sizes.append(n) or check(g, n))
+        geo.reconstruct_phi(2, 1, 1, geo.plane_rotation_14(0.7))
+        assert sizes.count(4) == 1
+
     def test_trivial_function(self, rng):
         for _ in range(5):
             g = random_rotation(rng, 4)

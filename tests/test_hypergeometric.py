@@ -7,13 +7,14 @@ import pytest
 
 from sphmop.gaussian import GaussianRational
 from sphmop.polynomials import Polynomial
-from sphmop.hypergeometric import (hyp_terminating, hyp2f1_poly_u,
-                                   hahn_value, racah_value)
+from sphmop.hypergeometric import hyp_terminating, hahn_value, racah_value
 
 
 def gegenbauer(n, lam):
-    """Gegenbauer polynomial C_n^lam(u) as an exact Polynomial in u."""
-    return hyp2f1_poly_u(-n, n + 2 * lam, Fraction(2 * lam + 1, 2)) \
+    """Gegenbauer polynomial C_n^lam(u) as an exact Polynomial in u, from
+    2F1(-n, n+2 lam; lam+1/2; (1-u)/2)."""
+    s = Polynomial([Fraction(1, 2), Fraction(-1, 2)])
+    return hyp_terminating([-n, n + 2 * lam], [Fraction(2 * lam + 1, 2)], s) \
         * comb(n + 2 * lam - 1, n)
 
 
@@ -43,6 +44,11 @@ class TestTerminatingSeries:
         # series runs to m=3
         with pytest.raises(ValueError):
             hyp_terminating([-3, 2], [-1], GaussianRational(1))
+
+    def test_rejects_float_parameter(self):
+        # a float is never coerced to a rational, however exact it looks
+        with pytest.raises(TypeError):
+            hyp_terminating([-1, 0.5], [1], 1)
 
 
 class TestGegenbauer:
@@ -173,6 +179,8 @@ class TestRacah:
     def test_precondition(self):
         with pytest.raises(ValueError):
             racah_value(1, 1, 5, 5, 5, 5, 3)
+        with pytest.raises(TypeError):
+            racah_value(0, 2, -4.0, -5, 0, 0, 3)
 
     def test_pfaff_saalschutz_closed_form(self):
         # 3F2(-j, j+1, -l-1; 1, -l; 1) = (-1)^j binom(l+j+1, j)/binom(l, j)

@@ -297,7 +297,7 @@ class TestLEigensolve:
     def test_ell2_n1(self):
         # at ell = 2, lambda = -3 the eigenvectors of L(-3) are the
         # a-vectors of (w, k) = (1, 0) and (0, 1)
-        L = build_L(2, n=1).constant_value()
+        L = build_L(2, n=1)
         by_mu = {}
         for w, k in ((1, 0), (0, 1)):
             mu = eigen_ledger(2, w, k).mu

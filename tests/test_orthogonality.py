@@ -8,7 +8,7 @@ import pytest
 
 from sphmop import cli, exact_linalg
 from sphmop.family import build_family
-from sphmop.gaussian import GaussianRational, ZERO
+from sphmop.gaussian import GaussianRational, ZERO, ONE, I
 from sphmop.operators import apply, build_operator, MatrixODEOperator
 from sphmop.polynomials import MatrixPolynomial, Polynomial, mismatch
 from sphmop.orthogonality import (WeightMatrix, build_weight,
@@ -16,6 +16,8 @@ from sphmop.orthogonality import (WeightMatrix, build_weight,
                                   inner_product_against_image,
                                   symmetry_check, ldu_decompose, commutant,
                                   block_offdiagonal_is_zero, weighted_image)
+
+from conftest import verify_row
 
 
 def oracle_inner_product(F, G, W):
@@ -326,6 +328,28 @@ class TestCommutant:
             assert result[0] == dim
             assert result[1] == oracle
             assert calls.count(n * n) == systems
+
+    def test_skew_fallback(self):
+        # the commutant of I + u [[0, i], [-i, 0]] is span{I, K} with K the
+        # skew part, whose Hermitian part is scalar: the reduction diagonalizes
+        # the self-adjoint i(K - K*) instead
+        K = MatrixPolynomial([[0, I], [-I, 0]])
+        W = WeightMatrix(ell=1, poly_part=MatrixPolynomial.identity(2)
+                         + K * Polynomial.variable())
+        dim, basis, red = commutant(W)
+        assert dim == 2
+        assert red.R == MatrixPolynomial([[I, -I], [ONE, ONE]])
+        assert red.block_sizes == (1, 1)
+        assert block_offdiagonal_is_zero(W, red.R, red.block_sizes) is None
+
+    def test_verify_row_checks_dimension(self, monkeypatch):
+        # a commutant cut down to span{I} has no reduction to check, so the
+        # row must fail on the dimension alone
+        label = "commutant dimension and block reduction"
+        monkeypatch.setattr(cli, "commutant", lambda W: (
+            1, [exact_linalg.mat_identity(W.ell + 1)], None))
+        assert verify_row(4, 1, label) == "dimension 1 != 2"
+        assert verify_row(0, 1, label) is None
 
     def test_identity_in_span(self, weights):
         # the identity commutes, so it must be a combination of the basis
