@@ -1,8 +1,9 @@
 """Exact dense linear algebra over the Gaussian rationals.
 
-Works on plain nested lists of GaussianRational.  One Gauss-Jordan
-elimination (`rref`) with exact pivots; rank, nullspace, solve and invert
-all read their answers off the reduced row echelon form it leaves.
+Works on plain nested lists of GaussianRational, or of Polynomial for
+`mat_mul`, `mat_conj_transpose`, and `rref`/`invert` with constant pivots.
+One Gauss-Jordan elimination (`rref`) with exact pivots; rank, nullspace,
+solve and invert all read their answers off the reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -15,18 +16,17 @@ def mat_copy(m):
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[ZERO] * cols for _ in range(rows)]
-    for i in range(rows):
-        for t in range(inner):
-            x = a[i][t]
+    """Product over any exact ring, skipping zero entries of both factors."""
+    supports = [[j for j, y in enumerate(r) if not y.is_zero()] for r in b]
+    out = [[ZERO] * len(b[0]) for _ in a]
+    for arow, orow in zip(a, out):
+        for x, brow, support in zip(arow, b, supports):
             if x.is_zero():
                 continue
-            brow = b[t]
-            orow = out[i]
-            for j in range(cols):
+            for j in support:
                 orow[j] = orow[j] + x * brow[j]
     return out
+
 
 def mat_identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import exact_linalg
 from .gaussian import GaussianRational, ZERO
 
 
@@ -97,6 +98,13 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def __rtruediv__(self, other):
+        """A scalar over a constant: exact_linalg.rref's pivot division."""
+        if not self.is_constant() or not isinstance(
+                other, (int, Fraction, GaussianRational)):
+            return NotImplemented
+        return Polynomial.constant(other / self.constant_term())
+
     def derivative(self) -> "Polynomial":
         return Polynomial(
             [self.coeffs[k] * k for k in range(1, len(self.coeffs))]
@@ -117,7 +125,7 @@ class Polynomial:
             acc = acc * x + complex(c)
         return acc
 
-    def conjugate_coeffs(self) -> "Polynomial":
+    def conjugate(self) -> "Polynomial":
         return Polynomial([c.conjugate() for c in self.coeffs])
 
     def __eq__(self, other):
@@ -185,9 +193,7 @@ class MatrixPolynomial:
 
     @staticmethod
     def identity(n) -> "MatrixPolynomial":
-        return MatrixPolynomial.from_function(
-            n, n, lambda i, j: Polynomial.constant(1 if i == j else 0)
-        )
+        return MatrixPolynomial(exact_linalg.mat_identity(n))
 
     @staticmethod
     def zeros(rows, cols) -> "MatrixPolynomial":
@@ -207,6 +213,11 @@ class MatrixPolynomial:
         i, j = ij
         return self.entries[i * self.cols + j]
 
+    def row_lists(self):
+        """Fresh nested lists of the entries, the form exact_linalg takes."""
+        c = self.cols
+        return [list(self.entries[i * c:i * c + c]) for i in range(self.rows)]
+
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
 
@@ -224,6 +235,8 @@ class MatrixPolynomial:
                 for i in range(self.rows)]
 
     def __add__(self, other):
+        if not isinstance(other, MatrixPolynomial):
+            return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
         return MatrixPolynomial.from_function(
@@ -243,20 +256,12 @@ class MatrixPolynomial:
             return MatrixPolynomial.from_function(
                 self.rows, self.cols, lambda i, j: self[i, j] * other
             )
+        if not isinstance(other, MatrixPolynomial):
+            return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-
-        def entry(i, j):
-            acc = Polynomial.zero()
-            for t in range(self.cols):
-                a = self[i, t]
-                b = other[t, j]
-                if a.is_zero() or b.is_zero():
-                    continue
-                acc = acc + a * b
-            return acc
-
-        return MatrixPolynomial.from_function(self.rows, other.cols, entry)
+        return MatrixPolynomial(
+            exact_linalg.mat_mul(self.row_lists(), other.row_lists()))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, Polynomial)):
@@ -269,9 +274,8 @@ class MatrixPolynomial:
         )
 
     def conjugate_transpose(self) -> "MatrixPolynomial":
-        return MatrixPolynomial.from_function(
-            self.cols, self.rows, lambda i, j: self[j, i].conjugate_coeffs()
-        )
+        return MatrixPolynomial(
+            exact_linalg.mat_conj_transpose(self.row_lists()))
 
     def evaluate(self, x):
         """Numeric evaluation; returns a nested list of complex numbers."""
@@ -312,8 +316,8 @@ def mismatch(lhs: MatrixPolynomial, rhs: MatrixPolynomial, where=""):
 
 def matpoly_inverse_triangular(M: MatrixPolynomial) -> MatrixPolynomial:
     """Invert an upper triangular matrix polynomial whose diagonal entries are
-    nonzero constants.  The result is again polynomial, found column by column
-    by back-substitution."""
+    nonzero constants.  Those checks make every pivot of exact_linalg.invert a
+    nonzero constant, so the inverse is again polynomial."""
     if M.rows != M.cols:
         raise ValueError("inverse needs a square matrix")
     n = M.rows
@@ -324,14 +328,4 @@ def matpoly_inverse_triangular(M: MatrixPolynomial) -> MatrixPolynomial:
         d = M[i, i]
         if not d.is_constant() or d.is_zero():
             raise ValueError("diagonal entry must be a nonzero constant")
-    inv = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
-    for col in range(n):
-        for i in range(col, -1, -1):
-            rhs = Polynomial.constant(1 if i == col else 0)
-            for t in range(i + 1, col + 1):
-                rhs = rhs - M[i, t] * inv[t][col]
-            d = M[i, i].constant_term()
-            inv[i][col] = Polynomial(
-                [c / d for c in rhs.coeffs]
-            )
-    return MatrixPolynomial(inv)
+    return MatrixPolynomial(exact_linalg.invert(M.row_lists()))

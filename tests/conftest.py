@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from sphmop import build_family, build_weight
+from sphmop import build_family, build_weight, cli
 from sphmop.cli import verify_rows
 
 # the desk-scale verification grid: every exact identity is checked at
@@ -24,3 +26,21 @@ def verify_row(ell, wmax, label):
     """Witness of the `verify` row with this label, None when it holds.
     Rows come lazily, so the layers after it are never built."""
     return next(w for row, w in verify_rows(ell, wmax) if row == label)
+
+
+def failing_rows(ell, wmax):
+    """Witness of every failing `verify` row, by label."""
+    return {row: w for row, w in verify_rows(ell, wmax) if w}
+
+
+def shift_A0(monkeypatch, name, shift):
+    """Make `verify` build the named operator with shift(n) added to A0."""
+    build = cli.build_operator
+
+    def shifted(op_name, ell):
+        op = build(op_name, ell)
+        if op_name == name:
+            op = dataclasses.replace(op, A0=op.A0 + shift(ell + 1))
+        return op
+
+    monkeypatch.setattr(cli, "build_operator", shifted)

@@ -99,6 +99,13 @@ class TestPolynomial:
         assert q == Polynomial([0, 1])    # 1 - 2(1-u)/2 = u
         assert q(Fraction(1, 3)) == GaussianRational(Fraction(1, 3))
 
+    def test_scalar_over_constant(self):
+        # the pivot division of exact_linalg.rref on polynomial entries
+        assert ONE / Polynomial.constant(4) \
+            == Polynomial.constant(Fraction(1, 4))
+        with pytest.raises(ZeroDivisionError):
+            ONE / Polynomial.zero()
+
 
 def _upper_triangular(n, coeffs):
     """Build an n x n upper triangular matrix with nonzero constant
@@ -132,6 +139,31 @@ def triangular_matrices(draw, max_size=3):
     count = n + 2 * (n * (n - 1) // 2)
     coeffs = draw(st.lists(small_gaussians, min_size=count, max_size=count))
     return _upper_triangular(n, coeffs)
+
+
+polynomials = st.one_of(st.just(Polynomial.zero()),
+                        st.lists(small_gaussians, max_size=3).map(Polynomial))
+dims = st.integers(min_value=1, max_value=3)
+
+
+@st.composite
+def product_pairs(draw):
+    """(n x m, m x p) polynomial matrices, zero entries included; p = 1 is
+    a column vector."""
+    n, m, p = draw(dims), draw(dims), draw(dims)
+
+    def matrix(rows, cols):
+        return MatrixPolynomial(draw(st.lists(
+            st.lists(polynomials, min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)))
+
+    return matrix(n, m), matrix(m, p)
+
+
+def oracle_product(A, B):
+    """sum_t A[i,t] B[t,j] entry by entry, in Polynomial arithmetic."""
+    return MatrixPolynomial.from_function(A.rows, B.cols, lambda i, j: sum(
+        (A[i, t] * B[t, j] for t in range(A.cols)), Polynomial.zero()))
 
 
 class TestMatrixPolynomial:
@@ -190,6 +222,18 @@ class TestMatrixPolynomial:
             ONE / p
         with pytest.raises(TypeError):
             ONE + 1.5
+        with pytest.raises(TypeError):
+            M * 1.5
+        with pytest.raises(TypeError):
+            M + 1
+        with pytest.raises(TypeError):
+            M * [[1, 0], [0, 1]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(product_pairs())
+    def test_product_matches_entrywise_oracle(self, pair):
+        A, B = pair
+        assert A * B == oracle_product(A, B)
 
     @settings(max_examples=40, deadline=None)
     @given(triangular_matrices())

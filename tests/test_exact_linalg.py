@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from sphmop import exact_linalg as el
 from sphmop.gaussian import GaussianRational, ZERO, ONE
 from sphmop.orthogonality import _minimal_polynomial, _rational_roots
-from sphmop.polynomials import MatrixPolynomial
+from sphmop.polynomials import MatrixPolynomial, Polynomial
 
 parts = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 entries = st.one_of(st.just(ZERO), st.builds(GaussianRational, parts, parts))
@@ -93,6 +93,24 @@ def test_invert(data):
     inv = el.invert(m)
     assert el.mat_mul(m, inv) == el.mat_identity(n)
     assert el.mat_mul(inv, m) == el.mat_identity(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_mat_mul_is_the_triple_sum(data):
+    # `entries` draws ZERO often, so both factors have zeros to skip
+    n, m, p = data.draw(sizes), data.draw(sizes), data.draw(sizes)
+    a, b = data.draw(grids(n, m)), data.draw(grids(m, p))
+    assert el.mat_mul(a, b) == [
+        [sum((a[i][t] * b[t][j] for t in range(m)), ZERO) for j in range(p)]
+        for i in range(n)]
+
+
+def test_invert_needs_constant_pivots():
+    # rref divides by each pivot, and only a constant Polynomial divides
+    u = Polynomial.variable()
+    with pytest.raises(TypeError):
+        el.invert([[u, ONE], [ZERO, ONE]])
 
 
 @pytest.mark.parametrize("B, coeffs", [

@@ -19,7 +19,7 @@ from sphmop.family import coeffs_by_recursion
 from sphmop.operators import build_operator, apply, conjugate, commutator_check
 from sphmop import cli, exact_linalg
 
-from conftest import verify_row
+from conftest import failing_rows, shift_A0, verify_row
 
 
 def _compose(M: MatrixPolynomial, t: Polynomial) -> MatrixPolynomial:
@@ -230,6 +230,18 @@ class TestCommutation:
             assert commutator_check(build_operator("Dtilde", ell),
                                     build_operator("Etilde", ell),
                                     12) is None
+
+    def test_verify_catches_shifted_Ebar(self, monkeypatch):
+        # u I in A0 of Ebar breaks [Dbar, Ebar] = 0 and both rows that read
+        # Ebar; every other row still passes
+        commutator = "[Dbar, Ebar] = 0 on monomials to degree 12"
+        u = Polynomial.variable()
+        shift_A0(monkeypatch, "Ebar",
+                 lambda n: MatrixPolynomial.identity(n) * u)
+        failing = failing_rows(2, 1)
+        assert set(failing) == {commutator, "Ebar*P_w = P_w*M_w",
+                                "PsiInv*Ebar*Psi = Etilde"}
+        assert failing[commutator] == "u^0 e_j: entry (0,0): (-3)*u != 0"
 
     def test_multiplication_operator_does_not_commute(self):
         from sphmop.operators import MatrixODEOperator

@@ -17,7 +17,7 @@ from sphmop.orthogonality import (WeightMatrix, build_weight,
                                   symmetry_check, ldu_decompose, commutant,
                                   block_offdiagonal_is_zero, weighted_image)
 
-from conftest import verify_row
+from conftest import failing_rows, shift_A0, verify_row
 
 
 def oracle_inner_product(F, G, W):
@@ -168,6 +168,17 @@ class TestSymmetry:
         monkeypatch.setattr(cli, "build_operator", raised)
         assert [label for label, w in cli.verify_rows(1, 1) if w] \
             == ["Dtilde*Pt_w = Pt_w*Lambda_w", "PsiInv*Dbar*Psi = Dtilde"]
+
+    def test_verify_catches_nonsymmetric_Dtilde(self, monkeypatch):
+        # E_01 in A0 of Dtilde is not Hermitian against the weight, so the
+        # symmetry row fails beside the two rows that read Dtilde
+        symmetric = "Dtilde symmetric on the family"
+        shift_A0(monkeypatch, "Dtilde", lambda n: MatrixPolynomial(
+            [[int((i, j) == (0, 1)) for j in range(n)] for i in range(n)]))
+        failing = failing_rows(2, 1)
+        assert set(failing) == {symmetric, "Dtilde*Pt_w = Pt_w*Lambda_w",
+                                "PsiInv*Dbar*Psi = Dtilde"}
+        assert failing[symmetric] == "w=0 w'=0 entry (0,1): 0 != 3"
 
     def test_agrees_with_two_sided_oracle(self, families, weights):
         # symmetry_check computes <F_a, op F_b> once per pair and relies on
@@ -350,6 +361,19 @@ class TestCommutant:
             1, [exact_linalg.mat_identity(W.ell + 1)], None))
         assert verify_row(4, 1, label) == "dimension 1 != 2"
         assert verify_row(0, 1, label) is None
+
+    def test_verify_row_checks_reduction(self, monkeypatch):
+        # R = I keeps the right dimension but does not split the weight, so
+        # the commutant row fails on the off-diagonal block alone
+        def unreduced(W):
+            dim, basis, red = commutant(W)
+            return dim, basis, dataclasses.replace(
+                red, R=MatrixPolynomial.identity(W.ell + 1))
+
+        monkeypatch.setattr(cli, "commutant", unreduced)
+        assert failing_rows(2, 1) == {
+            "commutant dimension and block reduction":
+                "R* W R entry (0,1): (3)*u != 0"}
 
     def test_identity_in_span(self, weights):
         # the identity commutes, so it must be a combination of the basis
