@@ -221,8 +221,9 @@ class Reduction:
 
 
 def commutant(W: WeightMatrix):
-    """Constant matrices commuting with poly_part(u) for every u: the
-    intersection of the commutants of its coefficient matrices W_m.
+    """Constant matrices commuting with poly_part(u) for every u: one loop
+    cuts all of M_n down to the commutant of each coefficient matrix W_m of
+    poly_part in turn, leading coefficient first.
 
     Returns (dimension, basis, reduction) where reduction holds an exact
     block-diagonalizing matrix R when the dimension exceeds one (columns
@@ -236,24 +237,11 @@ def commutant(W: WeightMatrix):
     def unvec(v):
         return [v[i * n:(i + 1) * n] for i in range(n)]
 
-    # the commutant of the leading coefficient W_deg, from its n^2 x n^2
-    # system in the entries of A (row-major):
-    # (A W_deg - W_deg A)[i, j] = sum_t A[i,t] W_deg[t,j] - W_deg[i,t] A[t,j]
-    # (W_deg is antidiagonal for the family weights, so this system is
-    # sparse and leaves only n unknowns for the rest)
-    top = P.coefficient_matrix(deg)
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [ZERO] * (n * n)
-            for t in range(n):
-                row[i * n + t] = row[i * n + t] + top[t][j]
-                row[t * n + j] = row[t * n + j] - top[i][t]
-            rows.append(row)
-    basis = exact_linalg.nullspace(rows)
-    # intersect with the commutant of each lower W_m: A = sum_c x_c B_c
-    # commutes with W_m iff sum_c x_c [B_c, W_m] = 0, an n^2 x d system in x
-    for m in reversed(range(deg)):
+    # A = sum_c x_c B_c commutes with W_m iff sum_c x_c [B_c, W_m] = 0, an
+    # n^2 x d system in x (the leading W_m is antidiagonal for the family
+    # weights, so the first system already leaves only n unknowns)
+    basis = exact_linalg.mat_identity(n * n)
+    for m in reversed(range(deg + 1)):
         if len(basis) <= 1:
             break
         Wm = P.coefficient_matrix(m)

@@ -4,6 +4,7 @@ import pytest
 
 from sphmop import build_family, build_weight, cli
 from sphmop.cli import verify_rows
+from sphmop.polynomials import MatrixPolynomial
 
 # the desk-scale verification grid: every exact identity is checked at
 # these sizes, with degrees up to WMAX
@@ -33,14 +34,20 @@ def failing_rows(ell, wmax):
     return {row: w for row, w in verify_rows(ell, wmax) if w}
 
 
+def edit_result(monkeypatch, name, edit):
+    """Make `verify` see edit(result, *args) wherever it calls cli.<name>."""
+    build = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: edit(build(*args), *args))
+
+
 def shift_A0(monkeypatch, name, shift):
     """Make `verify` build the named operator with shift(n) added to A0."""
-    build = cli.build_operator
+    edit_result(monkeypatch, "build_operator", lambda op, op_name, ell: (
+        dataclasses.replace(op, A0=op.A0 + shift(ell + 1))
+        if op_name == name else op))
 
-    def shifted(op_name, ell):
-        op = build(op_name, ell)
-        if op_name == name:
-            op = dataclasses.replace(op, A0=op.A0 + shift(ell + 1))
-        return op
 
-    monkeypatch.setattr(cli, "build_operator", shifted)
+def unit_matrix(n, i, j, entry=1):
+    """The n x n matrix with `entry` at (i, j) and zeros elsewhere."""
+    return MatrixPolynomial([[entry if (r, c) == (i, j) else 0
+                              for c in range(n)] for r in range(n)])

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, and output formats."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -116,6 +117,22 @@ all checks passed (ell=2, wmax=2)
 """
 
 
+PINNED_DIGESTS = {
+    "structures":
+        "7fac5a7b7c70d2672ab951fcc500de21abafe7ca5dec24c251fe415d8dfe4ddf",
+    "gram":
+        "34a0ac0649655db9304a059574c1a9bf60d5b8fe59e4113c35ff3c4c069ecd6d",
+    "gram --csv":
+        "79e913f3527c6d2e8d8889977af0cf7f9e1c6ba88ce8b21d3e7c73a6f8b8d1f0",
+    "eigen":
+        "afeeb05001dcd7843e6bda4d8829ca925d841917245a80e6dc911881149f4436",
+    "reduce":
+        "033db7e8b1699994577bce93bb213afc513c01b57322f19183eb6b53858ab8c3",
+    "family":
+        "1f19cc1df7abfc164da2061b4d9216ad2bea0d53ec11e0c18e564e9e27296890",
+}
+
+
 class TestDeterminism:
     def test_verify_report_is_pinned(self, capsys):
         # row labels and their order are part of the output contract
@@ -131,6 +148,35 @@ class TestDeterminism:
         _, out1, _ = run(capsys, "structures", "--ell", "4")
         _, out2, _ = run(capsys, "structures", "--ell", "4")
         assert out1 == out2
+
+    def test_outputs_pinned(self, capsys, tmp_path):
+        # sha256 of exact outputs, taken before the scalar became an integer
+        # triple: the JSON writers read format_gaussian, the gram CSV reads
+        # the re and im properties, and none of them may change a byte
+        def digest(*argvs):
+            h = hashlib.sha256()
+            for argv in argvs:
+                code, out, _ = run(capsys, *argv)
+                assert code == 0
+                h.update(out.encode())
+            return h.hexdigest()
+
+        got = {
+            "structures": digest(("structures", "--ell", "6")),
+            "gram": digest(("gram", "--ell", "4", "--wmax", "3")),
+            "gram --csv": digest(("gram", "--ell", "6", "--wmax", "4",
+                                  "--csv")),
+            "eigen": digest(("eigen", "--ell", "2", "--wmax", "3")),
+            "reduce": digest(*(("reduce", "--ell", str(ell))
+                               for ell in range(9))),
+        }
+        assert run(capsys, "family", "--ell", "3", "--wmax", "3",
+                   "--out", str(tmp_path))[0] == 0
+        h = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            h.update(path.name.encode() + b"\0" + path.read_bytes())
+        got["family"] = h.hexdigest()
+        assert got == PINNED_DIGESTS
 
 
 class TestOutputFormats:

@@ -1,5 +1,6 @@
 """Exact scalar, polynomial, and matrix-polynomial algebra."""
 
+import operator
 from fractions import Fraction
 from itertools import permutations
 
@@ -16,7 +17,96 @@ rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 gaussians = st.builds(GaussianRational, rationals, rationals)
 
 
+class FractionPair:
+    """The scalar as two reduced Fractions, the earlier representation of
+    GaussianRational: the oracle for its integer-triple arithmetic."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def is_zero(self):
+        return not self.re and not self.im
+
+    def __add__(self, other):
+        return FractionPair(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return FractionPair(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return FractionPair(a * c - b * d, a * d + b * c)
+
+    def __truediv__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        n = c * c + d * d
+        return FractionPair((a * c + b * d) / n, (b * c - a * d) / n)
+
+    def conjugate(self):
+        return FractionPair(self.re, -self.im)
+
+    def __eq__(self, other):
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash(self.re) if not self.im else hash((self.re, self.im))
+
+    def __complex__(self):
+        return complex(self.re) + 1j * complex(self.im)
+
+
+# zeros, one-part values, small shared denominators (whose sums and
+# products have a common factor to cancel) and 64-bit numerators
+numerators = st.one_of(st.just(0), st.integers(-9, 9),
+                       st.integers(-2 ** 64, 2 ** 64))
+denominators = st.one_of(st.integers(1, 12), st.integers(1, 2 ** 64))
+exact_rationals = st.builds(Fraction, numerators, denominators)
+parts = st.tuples(exact_rationals, exact_rationals)
+
+
+def float_bits(c: complex):
+    return c.real.hex(), c.imag.hex()
+
+
+def assert_matches(z: GaussianRational, m: FractionPair):
+    assert (z.re, z.im) == (m.re, m.im)
+    assert z == GaussianRational(m.re, m.im)
+    assert z.re.denominator > 0 and z.im.denominator > 0
+    assert z == m.re if not m.im else z != m.re
+    assert hash(z) == hash(m)
+    assert format_gaussian(z) == format_gaussian(m)
+    assert float_bits(complex(z)) == float_bits(complex(m)) \
+        == float_bits(complex(float(z.re), float(z.im)))
+
+
 class TestGaussianRational:
+    @settings(max_examples=300)
+    @given(parts, parts, exact_rationals)
+    def test_agrees_with_fraction_pair_oracle(self, x, y, q):
+        zx, zy = GaussianRational(*x), GaussianRational(*y)
+        mx, my, mq = FractionPair(*x), FractionPair(*y), FractionPair(q)
+        assert_matches(zx, mx)
+        assert_matches(zx.conjugate(), mx.conjugate())
+        assert_matches(-zx, FractionPair(0) - mx)
+        assert (zx == zy) == (mx == my)
+        for op in (operator.add, operator.sub, operator.mul,
+                   operator.truediv):
+            for (z1, m1), (z2, m2) in (((zx, mx), (zy, my)),
+                                       ((zx, mx), (q, mq)),
+                                       ((q, mq), (zx, mx))):
+                if op is operator.truediv and m2.is_zero():
+                    with pytest.raises(ZeroDivisionError):
+                        z1 / z2
+                else:
+                    assert_matches(op(z1, z2), op(m1, m2))
+
+    def test_immutable(self):
+        z = GaussianRational(1, 2)
+        for name in ("re", "im", "x", *GaussianRational.__slots__):
+            with pytest.raises(AttributeError):
+                setattr(z, name, 5)
+        assert (z.re, z.im) == (1, 2)
+
     def test_reduced_positive_denominator(self):
         z = GaussianRational(Fraction(2, -4), Fraction(6, 9))
         assert z.re == Fraction(-1, 2) and z.re.denominator == 2

@@ -3,6 +3,8 @@
 from fractions import Fraction
 from math import factorial
 
+import dataclasses
+
 import pytest
 
 from sphmop.gaussian import GaussianRational, ZERO, ONE, I
@@ -11,7 +13,7 @@ from sphmop.family import (coeffs_by_recursion, coeffs_by_racah, build_Pw,
                            eval_H)
 from sphmop.structure import build_L, eigen_ledger
 
-from conftest import GRID_ELLS, verify_row
+from conftest import GRID_ELLS, edit_result, failing_rows, verify_row
 from test_hypergeometric import gegenbauer
 
 
@@ -67,6 +69,20 @@ class TestCoefficients:
         for ell in (0, 1, 2, 4):
             assert verify_row(ell, 4, "coefficient recursion = Racah "
                                       "closed form") is None
+
+    def test_verify_catches_racah_fault(self, monkeypatch):
+        # a_1 doubled in one closed-form vector fails only the Racah row
+        def doubled(cv, ell, w, k):
+            if (w, k) != (1, 1):
+                return cv
+            a = list(cv.a)
+            a[1] = a[1] * 2
+            return dataclasses.replace(cv, a=tuple(a))
+
+        edit_result(monkeypatch, "coeffs_by_racah", doubled)
+        assert failing_rows(2, 1) == {
+            "coefficient recursion = Racah closed form":
+                "w=1 k=1 entry (1,0): -1*i != -2*i"}
 
     def test_vanishing_tail(self):
         for ell in (2, 4, 6):

@@ -17,9 +17,9 @@ from sphmop.polynomials import Polynomial, MatrixPolynomial
 from sphmop.structure import build_L, build_structures, eigen_ledger
 from sphmop.family import coeffs_by_recursion
 from sphmop.operators import build_operator, apply, conjugate, commutator_check
-from sphmop import cli, exact_linalg
+from sphmop import exact_linalg
 
-from conftest import failing_rows, shift_A0, verify_row
+from conftest import edit_result, failing_rows, shift_A0, verify_row
 
 
 def _compose(M: MatrixPolynomial, t: Polynomial) -> MatrixPolynomial:
@@ -208,16 +208,9 @@ class TestConjugation:
     def test_verify_compares_A2_of_first_order_pair(self, monkeypatch):
         # Ebar is the only first-order operator verify conjugates; a
         # nonzero A2 in its conjugate must fail the Etilde row
-        conj = cli.conjugate
-
-        def with_A2(op, Psi, PsiInv):
-            out = conj(op, Psi, PsiInv)
-            if not op.A2.is_zero():
-                return out
-            return replace(out,
-                           A2=out.A2 + MatrixPolynomial.identity(Psi.rows))
-
-        monkeypatch.setattr(cli, "conjugate", with_A2)
+        edit_result(monkeypatch, "conjugate", lambda out, op, Psi, PsiInv: (
+            replace(out, A2=out.A2 + MatrixPolynomial.identity(Psi.rows))
+            if op.A2.is_zero() else out))
         assert verify_row(1, 1, "PsiInv*Ebar*Psi = Etilde") \
             == "A2 entry (0,0): 1 != 0"
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from sphmop import cli, exact_linalg
-from sphmop.family import build_family
 from sphmop.gaussian import GaussianRational, ZERO, ONE, I
 from sphmop.operators import apply, build_operator, MatrixODEOperator
 from sphmop.polynomials import MatrixPolynomial, Polynomial, mismatch
@@ -17,7 +16,8 @@ from sphmop.orthogonality import (WeightMatrix, build_weight,
                                   symmetry_check, ldu_decompose, commutant,
                                   block_offdiagonal_is_zero, weighted_image)
 
-from conftest import failing_rows, shift_A0, verify_row
+from conftest import (edit_result, failing_rows, shift_A0, unit_matrix,
+                      verify_row)
 
 
 def oracle_inner_product(F, G, W):
@@ -119,18 +119,11 @@ class TestInnerProduct:
         # the verify row checks H_{w,k}(1) = (1, ..., 1) for every column k;
         # a constant multiple of P_w keeps every other identity, so only
         # this row can catch it
-        def failing():
-            return [(label, w) for label, w in cli.verify_rows(2, 1) if w]
-
-        assert failing() == []
-
-        def scaled_family(ell, wmax):
-            fam = build_family(ell, wmax)
-            return dataclasses.replace(fam, Pw={**fam.Pw, 1: fam.Pw[1] * 2})
-
-        monkeypatch.setattr(cli, "build_family", scaled_family)
-        assert failing() == [("trace normalization equals l+1",
-                              "w=1 entry (0,0): 2 != 1")]
+        assert failing_rows(2, 1) == {}
+        edit_result(monkeypatch, "build_family", lambda fam, ell, wmax: (
+            dataclasses.replace(fam, Pw={**fam.Pw, 1: fam.Pw[1] * 2})))
+        assert failing_rows(2, 1) == {
+            "trace normalization equals l+1": "w=1 entry (0,0): 2 != 1"}
 
 
 def members_and_images(fam, W, w_max):
@@ -155,26 +148,16 @@ class TestSymmetry:
     def test_verify_rows_survive_degree_raising_operator(self, monkeypatch):
         # u I added to A0 of Dtilde raises deg Dtilde Pt_w by one and keeps
         # it symmetric: only the eigen and conjugation rows may fail
-        build = cli.build_operator
-
-        def raised(name, ell):
-            op = build(name, ell)
-            if name != "Dtilde":
-                return op
-            u = Polynomial.variable()
-            return dataclasses.replace(
-                op, A0=op.A0 + MatrixPolynomial.identity(ell + 1) * u)
-
-        monkeypatch.setattr(cli, "build_operator", raised)
-        assert [label for label, w in cli.verify_rows(1, 1) if w] \
+        shift_A0(monkeypatch, "Dtilde", lambda n: (
+            MatrixPolynomial.identity(n) * Polynomial.variable()))
+        assert list(failing_rows(1, 1)) \
             == ["Dtilde*Pt_w = Pt_w*Lambda_w", "PsiInv*Dbar*Psi = Dtilde"]
 
     def test_verify_catches_nonsymmetric_Dtilde(self, monkeypatch):
         # E_01 in A0 of Dtilde is not Hermitian against the weight, so the
         # symmetry row fails beside the two rows that read Dtilde
         symmetric = "Dtilde symmetric on the family"
-        shift_A0(monkeypatch, "Dtilde", lambda n: MatrixPolynomial(
-            [[int((i, j) == (0, 1)) for j in range(n)] for i in range(n)]))
+        shift_A0(monkeypatch, "Dtilde", lambda n: unit_matrix(n, 0, 1))
         failing = failing_rows(2, 1)
         assert set(failing) == {symmetric, "Dtilde*Pt_w = Pt_w*Lambda_w",
                                 "PsiInv*Dbar*Psi = Dtilde"}
@@ -238,6 +221,29 @@ class TestLDU:
         # |psi_11|^2 = |-i|^2 = 1 and c_1 = 3! 0!/(3 1! 1!) = 2
         assert Dg[0, 0] == Polynomial([2])
         assert Dg[1, 1] == Polynomial([2, 0, -2])
+
+    def test_verify_catches_ldu_fault(self, monkeypatch):
+        edit_result(monkeypatch, "ldu_decompose", lambda ldu, W: (
+            ldu[0], ldu[1] + unit_matrix(W.ell + 1, 0, 0), ldu[2]))
+        assert failing_rows(2, 1) == {
+            "LDU reassembly equals the weight polynomial part":
+                "entry (0,0): 4 != 3"}
+
+    def test_verify_catches_weight_fault(self, monkeypatch):
+        # u^2 E_00 added to the weight: every row that reads the weight
+        # fails, but the Gram diagonal, which stays diagonal and invertible
+        edit_result(monkeypatch, "build_weight", lambda W, ell: (
+            dataclasses.replace(W, poly_part=W.poly_part + unit_matrix(
+                ell + 1, 0, 0, Polynomial([0, 0, 1])))))
+        assert failing_rows(2, 1) == {
+            "<Pt_w, Pt_w'> = 0 for w != w'": "w=0 w'=1 entry (1,0): -1/8 != 0",
+            "Dtilde symmetric on the family": "w=1 w'=0 entry (0,1): 0 != 1",
+            "Etilde symmetric on the family":
+                "w=1 w'=0 entry (0,1): 0 != 1/4",
+            "LDU reassembly equals the weight polynomial part":
+                "entry (0,0): 3 != 3 + u^2",
+            "commutant dimension and block reduction": "dimension 1 != 2",
+        }
 
     def test_reassembly(self, weights):
         for ell in (0, 1, 2, 4):

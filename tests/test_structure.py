@@ -2,13 +2,15 @@
 
 from fractions import Fraction
 
+import dataclasses
+
 import pytest
 
 from sphmop.gaussian import GaussianRational, I, ZERO
 from sphmop.structure import build_structures, build_L, eigen_ledger
 from sphmop import exact_linalg
 
-from conftest import verify_row
+from conftest import edit_result, failing_rows, unit_matrix, verify_row
 
 
 def eigen_ledger_from_rep(ell: int, m1, m2):
@@ -81,6 +83,20 @@ class TestBuildStructures:
 
 
 class TestHahnDiagonalization:
+    @pytest.mark.parametrize("name, at, label, witness", [
+        ("UstarU", (1, 1),
+         "U**U diagonal with entries (j+l+1)!(l-j)!/((2j+1) l! l!)",
+         "entry (1,1): 2 != 3"),
+        ("Q1", (1, 0), "Uinv*A0*U = Q0+Q1", "entry (1,0): 2 != 3"),
+    ])
+    def test_verify_catches_structure_fault(self, monkeypatch, name, at,
+                                            label, witness):
+        # one entry of one structure matrix off by 1 fails only its row
+        edit_result(monkeypatch, "build_structures", lambda st, ell: (
+            dataclasses.replace(st, **{
+                name: getattr(st, name) + unit_matrix(ell + 1, *at)})))
+        assert failing_rows(2, 1) == {label: witness}
+
     # the Hahn rows of `verify`, run past the acceptance grid to ell = 8
     def test_U_columns_are_eigenvectors(self):
         for ell in range(9):
