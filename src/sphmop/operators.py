@@ -92,15 +92,15 @@ def conjugate(op: MatrixODEOperator, Psi: MatrixPolynomial,
     )
 
 
-def commutator_check(opA: MatrixODEOperator, opB: MatrixODEOperator,
-                     degree_bound: int):
-    """None when the operators commute on every monomial vector u^d e_j
-    with d <= degree_bound, else a witness naming d and the first entry
-    where they differ (column j of u^d I is u^d e_j).  Complete for
-    polynomial-coefficient operators once the bound exceeds the coefficient
-    degrees plus two."""
+def commutator_check(opA: MatrixODEOperator, opB: MatrixODEOperator):
+    """None when the operators commute, else a witness naming the least d
+    with [A, B] u^d e_j != 0 and its first differing entry (column j of
+    u^d I is u^d e_j).  Both have order <= 2, so [A, B] = sum_{k<=4}
+    C_k(u) d^k/du^k maps u^d to sum_{k<=d} C_k (d)_k u^{d-k}: a nonzero
+    commutator first fails at d = k0, the least k with C_k != 0, and
+    k0 <= 4.  So d <= 4 decides it, and a larger bound finds the same."""
     eye = MatrixPolynomial.identity(opA.A1.rows)
-    for d in range(degree_bound + 1):
+    for d in range(5):
         F = eye * Polynomial([0] * d + [1])
         witness = mismatch(apply(opA, apply(opB, F)),
                            apply(opB, apply(opA, F)), f"u^{d} e_j: ")

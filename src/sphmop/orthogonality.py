@@ -17,7 +17,6 @@ from .gaussian import GaussianRational, ZERO, ONE, I
 from .polynomials import Polynomial, MatrixPolynomial, mismatch
 from .structure import build_structures
 from .family import build_Pw
-from .operators import apply
 from . import exact_linalg
 
 
@@ -110,18 +109,18 @@ def inner_product(F: MatrixPolynomial, G: MatrixPolynomial,
         G, weighted_image(F, W, G.degree() or 0))
 
 
-def symmetry_check(op, members, images):
-    """None when <op F, G> = <F, op G> exactly for all F, G among members,
-    else a witness naming the first pair and entry where it fails.
+def symmetry_check(op_members, images):
+    """None when <op F, G> = <F, op G> for all members F, G, read from
+    op_members[b] = op F_b (no operator is called), else a witness naming
+    the first pair and entry where it fails.
 
-    images[a] = weighted_image(members[a], W, depth), depth >= deg op F_b.
-    Each T(a, b) = <F_a, op F_b> is computed once; since poly_part is
-    Hermitian, <op F_a, F_b> = T(b, a)*, so the identity is
-    T(a, b) = T(b, a)*."""
-    ops = [apply(op, F) for F in members]
-    T = [[inner_product_against_image(ops[b], images[a])
-          for b in range(len(members))] for a in range(len(members))]
-    for a in range(len(members)):
+    images[a] = weighted_image(F_a, W, depth), depth >= deg op F_b.  Each
+    T(a, b) = <F_a, op F_b> is computed once; as poly_part is Hermitian,
+    <op F_a, F_b> = T(b, a)*, so the identity is T(a, b) = T(b, a)*."""
+    n = len(op_members)
+    T = [[inner_product_against_image(op_members[b], images[a])
+          for b in range(n)] for a in range(n)]
+    for a in range(n):
         for b in range(a + 1):
             witness = mismatch(T[a][b], T[b][a].conjugate_transpose(),
                                f"w={a} w'={b} ")

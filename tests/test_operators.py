@@ -7,19 +7,22 @@ work in s, so the series solver and the change of variable live here;
 the package itself works in u only.
 """
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
 
 from sphmop.gaussian import GaussianRational, ZERO, ONE
-from sphmop.polynomials import Polynomial, MatrixPolynomial
+from sphmop.polynomials import Polynomial, MatrixPolynomial, mismatch
 from sphmop.structure import build_L, build_structures, eigen_ledger
 from sphmop.family import coeffs_by_recursion
-from sphmop.operators import build_operator, apply, conjugate, commutator_check
+from sphmop.operators import (MatrixODEOperator, build_operator, apply,
+                              conjugate, commutator_check)
 from sphmop import exact_linalg
 
-from conftest import edit_result, failing_rows, shift_A0, verify_row
+from conftest import (edit_result, failing_rows, shift_A0, unit_matrix,
+                      verify_row)
 
 
 def _compose(M: MatrixPolynomial, t: Polynomial) -> MatrixPolynomial:
@@ -215,14 +218,59 @@ class TestConjugation:
             == "A2 entry (0,0): 1 != 0"
 
 
+def commutator_to_degree(opA, opB, degree_bound):
+    """The monomial loop of commutator_check run to an explicit degree:
+    the oracle for its bound of 4."""
+    eye = MatrixPolynomial.identity(opA.A1.rows)
+    for d in range(degree_bound + 1):
+        F = eye * Polynomial([0] * d + [1])
+        witness = mismatch(apply(opA, apply(opB, F)),
+                           apply(opB, apply(opA, F)), f"u^{d} e_j: ")
+        if witness:
+            return witness
+    return None
+
+
+def derivative_operator(p, E):
+    """The operator E d^p/du^p, for p <= 2."""
+    zero = MatrixPolynomial.zeros(E.rows, E.cols)
+    A = [zero, zero, zero]
+    A[p] = E
+    return MatrixODEOperator(A2=A[2], A1=A[1], A0=A[0])
+
+
 class TestCommutation:
     # [Dbar, Ebar] = 0 is a verify row; verify has no row for the tilde pair
+
+    @pytest.mark.parametrize("p", range(3))
+    @pytest.mark.parametrize("q", range(3))
+    def test_bound_four_finds_every_order(self, p, q):
+        # [E_01 d^p, E_10 d^q] = (E_00 - E_11) d^(p+q) vanishes on u^d for
+        # d < p+q, so the first witness is at d = p+q <= 4
+        A = derivative_operator(p, unit_matrix(2, 0, 1))
+        B = derivative_operator(q, unit_matrix(2, 1, 0))
+        witness = (f"u^{p + q} e_j: entry (0,0): "
+                   f"{math.factorial(p + q)} != 0")
+        assert commutator_check(A, B) == witness
+        assert commutator_to_degree(A, B, 12) == witness
+        assert commutator_to_degree(A, B, p + q - 1) is None
+
+    def test_agrees_with_degree_12_oracle(self):
+        # the paper's pairs, and each with E_{0,ell} added to A2 of the
+        # first-order operator, which breaks the commutation
+        for ell in range(5):
+            corner = unit_matrix(ell + 1, 0, ell)
+            for a, b in (("Dbar", "Ebar"), ("Dtilde", "Etilde")):
+                A, base = build_operator(a, ell), build_operator(b, ell)
+                for B in (base, replace(base, A2=base.A2 + corner)):
+                    witness = commutator_check(A, B)
+                    assert witness == commutator_to_degree(A, B, 12)
+                    assert (witness is None) == (B is base)
 
     def test_tilde_pair_commutes(self):
         for ell in (0, 1, 2, 4):
             assert commutator_check(build_operator("Dtilde", ell),
-                                    build_operator("Etilde", ell),
-                                    12) is None
+                                    build_operator("Etilde", ell)) is None
 
     def test_verify_catches_shifted_Ebar(self, monkeypatch):
         # u I in A0 of Ebar breaks [Dbar, Ebar] = 0 and both rows that read
@@ -245,7 +293,7 @@ class TestCommutation:
             A1=MatrixPolynomial.zeros(3, 3),
             A0=MatrixPolynomial.identity(3) * u,
         )
-        assert commutator_check(build_operator("Dtilde", ell), mult_u, 4) \
+        assert commutator_check(build_operator("Dtilde", ell), mult_u) \
             == "u^0 e_j: entry (0,0): (-3)*u != 0"
 
 

@@ -16,8 +16,8 @@ from sphmop.orthogonality import (WeightMatrix, build_weight,
                                   symmetry_check, ldu_decompose, commutant,
                                   block_offdiagonal_is_zero, weighted_image)
 
-from conftest import (edit_result, failing_rows, shift_A0, unit_matrix,
-                      verify_row)
+from conftest import (WMAX, edit_result, failing_rows, shift_A0,
+                      unit_matrix, verify_row)
 
 
 def oracle_inner_product(F, G, W):
@@ -125,6 +125,35 @@ class TestInnerProduct:
         assert failing_rows(2, 1) == {
             "trace normalization equals l+1": "w=1 entry (0,0): 2 != 1"}
 
+    def test_closed_form_squared_norms(self, families, weights):
+        # ROADMAP item 15: the diagonal Gram is (dim K-type)^2 / dim tau,
+        # tau the SO(4) irrep with (m1-m2+1)(m1+m2+1) = (w+k+1)(w+ell-k+1);
+        # no verify row states it
+        for ell, fam in families.items():
+            assert norms_against_closed_form(fam, weights[ell], WMAX) is None
+
+    def test_closed_form_norms_catch_a_scaled_member(self, monkeypatch,
+                                                     weights):
+        # 2 Pt_1 passes every verify row; only the closed form sees it
+        edit_result(monkeypatch, "build_family", lambda fam, ell, wmax: (
+            dataclasses.replace(fam, PwTilde={
+                **fam.PwTilde, 1: fam.PwTilde[1] * 2})))
+        assert failing_rows(2, 1) == {}
+        assert norms_against_closed_form(cli.build_family(2, 1), weights[2],
+                                         1) == "w=1 entry (0,0): 9/2 != 9/8"
+
+
+def norms_against_closed_form(fam, W, w_max):
+    """None when <Pt_w, Pt_w> = diag_k (ell+1)^2 / ((w+k+1)(w+ell-k+1))
+    for every w <= w_max, else the first mismatch."""
+    ell = fam.ell
+    return next(filter(None, (mismatch(
+        inner_product(fam.PwTilde[w], fam.PwTilde[w], W),
+        MatrixPolynomial.diagonal([
+            Fraction((ell + 1) ** 2, (w + k + 1) * (w + ell - k + 1))
+            for k in range(ell + 1)]), f"w={w} ")
+        for w in range(w_max + 1))), None)
+
 
 def members_and_images(fam, W, w_max):
     # depth w_max + 1 leaves room for operators that raise the degree by
@@ -142,7 +171,7 @@ class TestSymmetry:
             A0=MatrixPolynomial.identity(2) * iu,
         )
         members, images = members_and_images(families[1], weights[1], 2)
-        assert symmetry_check(op, members, images) \
+        assert symmetry_check([apply(op, F) for F in members], images) \
             == "w=0 w'=0 entry (0,1): -1/2*i != 1/2*i"
 
     def test_verify_rows_survive_degree_raising_operator(self, monkeypatch):
@@ -186,7 +215,7 @@ class TestSymmetry:
                     first = next(filter(None, (
                         mismatch(rhs[a][b], lhs[a][b], f"w={a} w'={b} ")
                         for a in ws for b in range(a + 1))), None)
-                    assert symmetry_check(op, members, images) == first
+                    assert symmetry_check(ops, images) == first
                     assert (first is None) == (lhs == rhs) == (op is base)
 
     def test_eigenvalue_form_of_symmetry(self, families, weights):
