@@ -166,12 +166,11 @@ def verify_rows(ell: int, wmax: int):
     # deep enough for every partner, even one a fault has raised in degree
     depth = max(F.degree() or 0 for F in
                 members + applied["Dtilde"] + applied["Etilde"])
-    images = [weighted_image(F, W, depth) for F in members]
+    images = weighted_image(members, W, depth)
     zero = MatrixPolynomial.zeros(n, n)
     off = diag = None
-    for w1 in ws:
-        for w2 in ws:
-            G = inner_product_against_image(members[w2], images[w1])
+    for w1, row in enumerate(inner_product_against_image(members, images)):
+        for w2, G in enumerate(row):
             if w1 != w2:
                 off = off or mismatch(G, zero, f"w={w1} w'={w2} ")
             else:
@@ -189,7 +188,8 @@ def verify_rows(ell: int, wmax: int):
                   for w in ws))
     for label, name in (("Dtilde symmetric on the family", "Dtilde"),
                         ("Etilde symmetric on the family", "Etilde")):
-        yield (label, symmetry_check(applied[name], images))
+        yield (label, symmetry_check(
+            inner_product_against_image(applied[name], images)))
     L, Dg, Uf = ldu_decompose(W)
     yield ("LDU reassembly equals the weight polynomial part",
            mismatch(L * Dg * Uf, W.poly_part))

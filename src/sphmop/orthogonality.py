@@ -69,33 +69,44 @@ def chebyshev_moment(m: int) -> Fraction:
     return Fraction(factorial(2 * t), 4 ** t * factorial(t) * factorial(t + 1))
 
 
-def weighted_image(F: MatrixPolynomial, W: WeightMatrix, depth: int):
-    """The moment image Y_j = sum_a M_{a+j} F_a, j <= depth, of F, with F_a
-    the coefficient matrices of F and M_m = sum_k W_k mu_{m+k} the weight's
-    moment matrices (W_k those of poly_part, mu = chebyshev_moment).  Then
-    <F, G> = sum_j G_j* Y_j for deg G <= depth: the expensive half of an
-    inner product, worth sharing when one F meets many partners."""
-    P, top = W.poly_part, F.degree() or 0
-    mu = [chebyshev_moment(m) for m in range(top + depth + P.degree() + 1)]
+def weighted_image(members, W: WeightMatrix, depth: int):
+    """Image a of the members F_a stacks Y_j = sum_c M_{c+j} (F_a)_c in rows
+    j*n .. (j+1)*n - 1, j <= depth, with (F_a)_c the coefficient matrices of
+    F_a and M_m = sum_k W_k mu_{m+k} the weight's moment matrices (W_k those
+    of poly_part, mu = chebyshev_moment), built once for all members; then
+    <F_a, G> = sum_j G_j* Y_j whenever deg G <= depth."""
+    P, n = W.poly_part, W.poly_part.cols
+    tops = [F.degree() or 0 for F in members]
+    top = max(tops, default=0)
+    mu = [chebyshev_moment(m)
+          for m in range(top + depth + (P.degree() or 0) + 1)]
     M = [[[sum((c * mu[m + k] for k, c in enumerate(P[i, j].coeffs)), ZERO)
-           for j in range(P.cols)] for i in range(P.rows)]
+           for j in range(n)] for i in range(n)]
          for m in range(top + depth + 1)]
-    Fs = [row for a in range(top + 1) for row in F.coefficient_matrix(a)]
+    # the block Hankel matrix [M_{c+j}], row j*n + i, column block c
+    hankel = [[x for c in range(top + 1) for x in M[c + j][i]]
+              for j in range(depth + 1) for i in range(n)]
     return [exact_linalg.mat_mul(
-        [[x for a in range(top + 1) for x in M[a + j][i]]
-         for i in range(P.rows)], Fs) for j in range(depth + 1)]
+        [row[:(t + 1) * n] for row in hankel],
+        [row for c in range(t + 1) for row in F.coefficient_matrix(c)])
+        for F, t in zip(members, tops)]
 
 
-def inner_product_against_image(G: MatrixPolynomial, Y) -> MatrixPolynomial:
-    """<F, G> = sum_j G_j* Y_j from the moment image Y of F; ValueError when
-    deg G exceeds the depth of Y, rather than dropping the terms past it."""
-    top = G.degree() or 0
-    if top >= len(Y):
-        raise ValueError(f"partner degree {top} > image depth {len(Y) - 1}")
-    Gs = [row for j in range(top + 1) for row in G.coefficient_matrix(j)]
-    Ys = [row for Yj in Y[:top + 1] for row in Yj]
-    return MatrixPolynomial(exact_linalg.mat_mul(
-        exact_linalg.mat_conj_transpose(Gs), Ys))
+def inner_product_against_image(partners, images):
+    """T[a][b] = <F_a, G_b> for the members F_a behind the images and the
+    partners G_b, each stacked and conjugated once; ValueError, before any
+    product, when a partner is deeper than the images, rather than dropping
+    the terms past it."""
+    adjoints = []
+    for G in partners:
+        top = G.degree() or 0
+        depth = len(images[0]) // G.rows - 1 if images else top
+        if top > depth:
+            raise ValueError(f"partner degree {top} > image depth {depth}")
+        adjoints.append(exact_linalg.mat_conj_transpose(
+            [row for j in range(top + 1) for row in G.coefficient_matrix(j)]))
+    return [[MatrixPolynomial(exact_linalg.mat_mul(Gs, Y[:len(Gs[0])]))
+             for Gs in adjoints] for Y in images]
 
 
 def inner_product(F: MatrixPolynomial, G: MatrixPolynomial,
@@ -106,27 +117,16 @@ def inner_product(F: MatrixPolynomial, G: MatrixPolynomial,
     a constant matrix returned as a MatrixPolynomial.
     """
     return inner_product_against_image(
-        G, weighted_image(F, W, G.degree() or 0))
+        [G], weighted_image([F], W, G.degree() or 0))[0][0]
 
 
-def symmetry_check(op_members, images):
-    """None when <op F, G> = <F, op G> for all members F, G, read from
-    op_members[b] = op F_b (no operator is called), else a witness naming
-    the first pair and entry where it fails.
-
-    images[a] = weighted_image(F_a, W, depth), depth >= deg op F_b.  Each
-    T(a, b) = <F_a, op F_b> is computed once; as poly_part is Hermitian,
-    <op F_a, F_b> = T(b, a)*, so the identity is T(a, b) = T(b, a)*."""
-    n = len(op_members)
-    T = [[inner_product_against_image(op_members[b], images[a])
-          for b in range(n)] for a in range(n)]
-    for a in range(n):
-        for b in range(a + 1):
-            witness = mismatch(T[a][b], T[b][a].conjugate_transpose(),
-                               f"w={a} w'={b} ")
-            if witness:
-                return witness
-    return None
+def symmetry_check(T):
+    """None when T[a][b] = T[b][a]* for all a, b, else a witness naming the
+    first pair and entry where it fails.  For T[a][b] = <F_a, op F_b> this is
+    <op F_a, F_b> = <F_a, op F_b>, as poly_part is Hermitian."""
+    return next(filter(None, (
+        mismatch(T[a][b], T[b][a].conjugate_transpose(), f"w={a} w'={b} ")
+        for a in range(len(T)) for b in range(a + 1))), None)
 
 
 def ldu_decompose(W: WeightMatrix):

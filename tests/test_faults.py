@@ -54,6 +54,11 @@ def recursion_a2_is_one(mp):
 Pt1_times_u = member_times(1, lambda n: Polynomial.variable())
 
 
+def zero_weight(mp):
+    edit_result(mp, "build_weight", lambda W, ell: (
+        dataclasses.replace(W, poly_part=W.poly_part * 0)))
+
+
 FAULTS = {
     "Etilde A0+I": (
         lambda mp: shift_A0(mp, "Etilde", MatrixPolynomial.identity), {
@@ -113,6 +118,13 @@ FAULTS = {
             "w=0 k=0 entry (2,0): 1 != 0",
         "coefficient tail a_j = 0 for j > w+k":
             "w=0 k=0 entry (2,0): 1 != 0"}),
+    # a zero weight: zero images, so every Gram block and symmetry table
+    # is zero rather than a TypeError
+    "W = 0": (zero_weight, {
+        "<Pt_w, Pt_w> diagonal and invertible": "w=0 entry (0,0) is 0",
+        "LDU reassembly equals the weight polynomial part":
+            "entry (0,0): 3 != 0",
+        "commutant dimension and block reduction": "dimension 9 != 2"}),
 }
 
 
@@ -133,3 +145,12 @@ def test_cli_reports_a_raised_member_as_failed_rows(monkeypatch, capsys):
     assert code == 1
     assert captured.err == ""
     assert captured.out.splitlines()[-1] == "5 failed (ell=2, wmax=1)"
+
+
+def test_cli_reports_a_zero_weight_as_failed_rows(monkeypatch, capsys):
+    zero_weight(monkeypatch)
+    code = cli.main(["verify", "--ell", "2", "--wmax", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == "3 failed (ell=2, wmax=1)"

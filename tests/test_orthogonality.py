@@ -109,11 +109,40 @@ class TestInnerProduct:
         fam, W = families[2], weights[2]
         F = fam.PwTilde[4]
         for d in (0, 2, 5):
-            Y = weighted_image(F, W, d)
-            assert inner_product_against_image(fam.PwTilde[d], Y) \
+            Y = weighted_image([F], W, d)
+            assert inner_product_against_image([fam.PwTilde[d]], Y)[0][0] \
                 == oracle_inner_product(F, fam.PwTilde[d], W)
-            with pytest.raises(ValueError, match="image depth"):
-                inner_product_against_image(fam.PwTilde[d + 1], Y)
+            with pytest.raises(ValueError, match=(
+                    f"^partner degree {d + 1} > image depth {d}$")):
+                inner_product_against_image([fam.PwTilde[d + 1]], Y)
+
+    def test_tables_agree_with_oracle(self, families, weights):
+        # one image per member and one adjoint per partner, of unequal
+        # degrees on both sides, give every cell <F_a, G_b> of the table
+        u = Polynomial.variable()
+        for ell in (1, 2, 4):
+            fam, W = families[ell], weights[ell]
+            Pt = fam.PwTilde
+            members = [Pt[w] for w in range(4)] + [Pt[3] * u]
+            partners = [Pt[w] for w in range(5)] + [Pt[2] * u]
+            images = weighted_image(members, W, 4)
+            assert images == [weighted_image([F], W, 4)[0] for F in members]
+            T = inner_product_against_image(partners, images)
+            assert T == [[oracle_inner_product(F, G, W) for G in partners]
+                         for F in members], ell
+
+    def test_verify_takes_one_pass_over_the_weight(self, monkeypatch):
+        # one batch of images for all members, and one table each for the
+        # Gram rows and the two symmetry rows
+        calls = {"weighted_image": 0, "inner_product_against_image": 0}
+        for name in calls:
+            def counted(*args, name=name, inner=getattr(cli, name)):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(cli, name, counted)
+        assert all(w is None for _, w in cli.verify_rows(2, 3))
+        assert calls == {"weighted_image": 1,
+                         "inner_product_against_image": 3}
 
     def test_trace_normalization(self, monkeypatch):
         # the verify row checks H_{w,k}(1) = (1, ..., 1) for every column k;
@@ -159,7 +188,7 @@ def members_and_images(fam, W, w_max):
     # depth w_max + 1 leaves room for operators that raise the degree by
     # one, such as multiplication by i u
     members = [fam.PwTilde[w] for w in range(w_max + 1)]
-    return members, [weighted_image(F, W, w_max + 1) for F in members]
+    return members, weighted_image(members, W, w_max + 1)
 
 
 class TestSymmetry:
@@ -171,7 +200,8 @@ class TestSymmetry:
             A0=MatrixPolynomial.identity(2) * iu,
         )
         members, images = members_and_images(families[1], weights[1], 2)
-        assert symmetry_check([apply(op, F) for F in members], images) \
+        assert symmetry_check(inner_product_against_image(
+            [apply(op, F) for F in members], images)) \
             == "w=0 w'=0 entry (0,1): -1/2*i != 1/2*i"
 
     def test_verify_rows_survive_degree_raising_operator(self, monkeypatch):
@@ -193,7 +223,7 @@ class TestSymmetry:
         assert failing[symmetric] == "w=0 w'=0 entry (0,1): 0 != 3"
 
     def test_agrees_with_two_sided_oracle(self, families, weights):
-        # symmetry_check computes <F_a, op F_b> once per pair and relies on
+        # symmetry_check reads the table <F_a, op F_b> and relies on
         # poly_part being Hermitian; the oracle computes both sides of
         # <op F_a, F_b> = <F_a, op F_b> for every ordered pair
         for ell in (1, 2, 4):
@@ -215,7 +245,8 @@ class TestSymmetry:
                     first = next(filter(None, (
                         mismatch(rhs[a][b], lhs[a][b], f"w={a} w'={b} ")
                         for a in ws for b in range(a + 1))), None)
-                    assert symmetry_check(ops, images) == first
+                    assert symmetry_check(inner_product_against_image(
+                        ops, images)) == first
                     assert (first is None) == (lhs == rhs) == (op is base)
 
     def test_eigenvalue_form_of_symmetry(self, families, weights):
