@@ -1,9 +1,8 @@
 """Exact dense linear algebra over the Gaussian rationals.
 
-Works on plain nested lists of GaussianRational, or of Polynomial for
-`mat_mul`, `mat_conj_transpose`, and `rref`/`invert` with constant pivots.
-One Gauss-Jordan elimination (`rref`) with exact pivots; rank, nullspace,
-solve and invert all read their answers off the reduced row echelon form.
+Works on plain nested lists of GaussianRational only.  One Gauss-Jordan
+elimination (`rref`) with exact pivots; rank, nullspace, solve and invert
+all read their answers off the reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ def mat_copy(m):
 
 
 def mat_mul(a, b):
-    """Product over any exact ring, skipping zero entries of both factors."""
+    """Product, skipping zero entries of both factors."""
     supports = [[j for j, y in enumerate(r) if not y.is_zero()] for r in b]
     out = [[ZERO] * len(b[0]) for _ in a]
     for arow, orow in zip(a, out):

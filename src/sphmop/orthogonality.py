@@ -78,10 +78,10 @@ def weighted_image(members, W: WeightMatrix, depth: int):
     P, n = W.poly_part, W.poly_part.cols
     tops = [F.degree() or 0 for F in members]
     top = max(tops, default=0)
-    mu = [chebyshev_moment(m)
-          for m in range(top + depth + (P.degree() or 0) + 1)]
-    M = [[[sum((c * mu[m + k] for k, c in enumerate(P[i, j].coeffs)), ZERO)
-           for j in range(n)] for i in range(n)]
+    Ws = [P.coefficient_matrix(k) for k in range((P.degree() or 0) + 1)]
+    mu = [chebyshev_moment(m) for m in range(top + depth + len(Ws))]
+    M = [[[sum((Wk[i][j] * mu[m + k] for k, Wk in enumerate(Ws)
+                if mu[m + k]), ZERO) for j in range(n)] for i in range(n)]
          for m in range(top + depth + 1)]
     # the block Hankel matrix [M_{c+j}], row j*n + i, column block c
     hankel = [[x for c in range(top + 1) for x in M[c + j][i]]
@@ -145,9 +145,7 @@ def ldu_decompose(W: WeightMatrix):
             raise AssertionError("diagonal of the base package must be a "
                                  "nonzero constant")
         delta.append(d.constant_term())
-    Uf = MatrixPolynomial.from_function(
-        ell + 1, ell + 1, lambda i, j: Psi[i, j] * (ONE / delta[i])
-    )
+    Uf = MatrixPolynomial.diagonal([ONE / d for d in delta]) * Psi
     L = Uf.conjugate_transpose()
     Dg = MatrixPolynomial.diagonal(
         [p * (d * d.conjugate())

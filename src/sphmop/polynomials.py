@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import exact_linalg
-from .gaussian import GaussianRational, ZERO
+from .gaussian import GaussianRational, ZERO, ONE
 
 
 class Polynomial:
@@ -98,13 +98,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __rtruediv__(self, other):
-        """A scalar over a constant: exact_linalg.rref's pivot division."""
-        if not self.is_constant() or not isinstance(
-                other, (int, Fraction, GaussianRational)):
-            return NotImplemented
-        return Polynomial.constant(other / self.constant_term())
-
     def derivative(self) -> "Polynomial":
         return Polynomial(
             [self.coeffs[k] * k for k in range(1, len(self.coeffs))]
@@ -124,9 +117,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + complex(c)
         return acc
-
-    def conjugate(self) -> "Polynomial":
-        return Polynomial([c.conjugate() for c in self.coeffs])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -158,29 +148,42 @@ class Polynomial:
 
 
 class MatrixPolynomial:
-    """Rectangular matrix with Polynomial entries.
-
-    Square matrices of size ell+1 are the main case (operator coefficients,
-    packages, weights), but column vectors reuse the same type with
-    cols == 1.
+    """Rectangular matrix polynomial over the Gaussian rationals, held as its
+    coefficient matrices C_0 .. C_d (nested lists of GaussianRational, the
+    form exact_linalg takes) with no trailing zero matrix; the zero matrix
+    has none.  Column vectors are the case cols == 1.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_terms")
 
     def __init__(self, entries):
+        """From rows of Polynomials or scalars."""
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
-        flat = []
+        grid = []
         for row in entries:
             if len(row) != cols:
                 raise ValueError("ragged matrix")
-            for e in row:
-                if not isinstance(e, Polynomial):
-                    e = Polynomial.constant(e)
-                flat.append(e)
+            grid.append([e.coeffs if isinstance(e, Polynomial)
+                         else (GaussianRational.of(e),) for e in row])
+        deg = max((len(cs) for row in grid for cs in row), default=0)
+        self._set(rows, cols, [
+            [[cs[k] if k < len(cs) else ZERO for cs in row] for row in grid]
+            for k in range(deg)])
+
+    def _set(self, rows, cols, terms):
+        while terms and all(x.is_zero() for row in terms[-1] for x in row):
+            terms.pop()
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(flat))
+        object.__setattr__(self, "_terms", tuple(terms))
+
+    @staticmethod
+    def _of(rows, cols, terms) -> "MatrixPolynomial":
+        # the matrix with the coefficient matrices `terms`, a list it owns
+        M = object.__new__(MatrixPolynomial)
+        M._set(rows, cols, terms)
+        return M
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixPolynomial is immutable")
@@ -193,13 +196,11 @@ class MatrixPolynomial:
 
     @staticmethod
     def identity(n) -> "MatrixPolynomial":
-        return MatrixPolynomial(exact_linalg.mat_identity(n))
+        return MatrixPolynomial._of(n, n, [exact_linalg.mat_identity(n)])
 
     @staticmethod
     def zeros(rows, cols) -> "MatrixPolynomial":
-        return MatrixPolynomial.from_function(
-            rows, cols, lambda i, j: Polynomial.zero()
-        )
+        return MatrixPolynomial._of(rows, cols, [])
 
     @staticmethod
     def diagonal(values) -> "MatrixPolynomial":
@@ -211,57 +212,66 @@ class MatrixPolynomial:
 
     def __getitem__(self, ij) -> Polynomial:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return Polynomial([C[i][j] for C in self._terms])
 
-    def row_lists(self):
-        """Fresh nested lists of the entries, the form exact_linalg takes."""
-        c = self.cols
-        return [list(self.entries[i * c:i * c + c]) for i in range(self.rows)]
+    @property
+    def entries(self):
+        """The entries as Polynomials, row by row."""
+        return tuple(self[i, j]
+                     for i in range(self.rows) for j in range(self.cols))
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        return not self._terms
 
     def constant_value(self):
         """The scalar matrix of constant terms."""
         return self.coefficient_matrix(0)
 
     def degree(self):
-        ds = [e.degree() for e in self.entries if not e.is_zero()]
-        return max(ds) if ds else None
+        return len(self._terms) - 1 if self._terms else None
 
     def coefficient_matrix(self, k: int):
-        """Scalar matrix of the degree-k coefficients of every entry."""
-        return [[self[i, j].coefficient(k) for j in range(self.cols)]
-                for i in range(self.rows)]
+        """Fresh scalar matrix of the degree-k coefficients of every entry."""
+        if 0 <= k < len(self._terms):
+            return [row[:] for row in self._terms[k]]
+        return [[ZERO] * self.cols for _ in range(self.rows)]
 
     def __add__(self, other):
         if not isinstance(other, MatrixPolynomial):
             return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        return MatrixPolynomial.from_function(
-            self.rows, self.cols, lambda i, j: self[i, j] + other[i, j]
-        )
+        terms, short = list(self._terms), other._terms
+        if len(terms) < len(short):
+            terms, short = list(short), terms
+        for k, B in enumerate(short):
+            terms[k] = [[x + y for x, y in zip(ra, rb)]
+                        for ra, rb in zip(terms[k], B)]
+        return MatrixPolynomial._of(self.rows, self.cols, terms)
 
     def __neg__(self):
-        return MatrixPolynomial.from_function(
-            self.rows, self.cols, lambda i, j: -self[i, j]
-        )
+        return self * -1
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        """Coefficient c of A B is one product of [A_t ...] by
+        [B_(c-t); ...]; a scalar or Polynomial p multiplies as p I."""
         if isinstance(other, (int, Fraction, GaussianRational, Polynomial)):
-            return MatrixPolynomial.from_function(
-                self.rows, self.cols, lambda i, j: self[i, j] * other
-            )
-        if not isinstance(other, MatrixPolynomial):
+            other = MatrixPolynomial.diagonal([other] * self.cols)
+        elif not isinstance(other, MatrixPolynomial):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        return MatrixPolynomial(
-            exact_linalg.mat_mul(self.row_lists(), other.row_lists()))
+        A, B = self._terms, other._terms
+        terms = []
+        for c in range(len(A) + len(B) - 1) if A and B else ():
+            ts = range(max(0, c - len(B) + 1), min(c, len(A) - 1) + 1)
+            terms.append(exact_linalg.mat_mul(
+                [[x for t in ts for x in A[t][i]] for i in range(self.rows)],
+                [row for t in ts for row in B[c - t]]))
+        return MatrixPolynomial._of(self.rows, other.cols, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, Polynomial)):
@@ -269,13 +279,13 @@ class MatrixPolynomial:
         return NotImplemented
 
     def derivative(self) -> "MatrixPolynomial":
-        return MatrixPolynomial.from_function(
-            self.rows, self.cols, lambda i, j: self[i, j].derivative()
-        )
+        return MatrixPolynomial._of(self.rows, self.cols, [
+            [[x * k for x in row] for row in C]
+            for k, C in enumerate(self._terms[1:], 1)])
 
     def conjugate_transpose(self) -> "MatrixPolynomial":
-        return MatrixPolynomial(
-            exact_linalg.mat_conj_transpose(self.row_lists()))
+        return MatrixPolynomial._of(self.cols, self.rows, [
+            exact_linalg.mat_conj_transpose(C) for C in self._terms])
 
     def evaluate(self, x):
         """Numeric evaluation; returns a nested list of complex numbers."""
@@ -290,11 +300,12 @@ class MatrixPolynomial:
     def __eq__(self, other):
         if not isinstance(other, MatrixPolynomial):
             return NotImplemented
-        return (self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+        return (self.rows, self.cols, self._terms) \
+            == (other.rows, other.cols, other._terms)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols,
+                     tuple(tuple(map(tuple, C)) for C in self._terms)))
 
     def __repr__(self):
         rows = [", ".join(repr(self[i, j]) for j in range(self.cols))
@@ -316,16 +327,28 @@ def mismatch(lhs: MatrixPolynomial, rhs: MatrixPolynomial, where=""):
 
 def matpoly_inverse_triangular(M: MatrixPolynomial) -> MatrixPolynomial:
     """Invert an upper triangular matrix polynomial whose diagonal entries are
-    nonzero constants.  Those checks make every pivot of exact_linalg.invert a
-    nonzero constant, so the inverse is again polynomial."""
+    nonzero constants, so that the inverse is again polynomial, by back
+    substitution: row i of the inverse is (e_i - sum_{j>i} M_ij row_j) / M_ii.
+    """
     if M.rows != M.cols:
         raise ValueError("inverse needs a square matrix")
     n = M.rows
+    grid = [[M[i, j] for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i):
-            if not M[i, j].is_zero():
+            if not grid[i][j].is_zero():
                 raise ValueError("matrix is not upper triangular")
-        d = M[i, i]
+        d = grid[i][i]
         if not d.is_constant() or d.is_zero():
             raise ValueError("diagonal entry must be a nonzero constant")
-    return MatrixPolynomial(exact_linalg.invert(M.row_lists()))
+    inv = [None] * n
+    for i in reversed(range(n)):
+        row = [Polynomial.constant(int(c == i)) for c in range(n)]
+        for j in range(i + 1, n):
+            m = grid[i][j]
+            if not m.is_zero():
+                for c in range(j, n):
+                    row[c] = row[c] - m * inv[j][c]
+        d = ONE / grid[i][i].constant_term()
+        inv[i] = [x * d for x in row]
+    return MatrixPolynomial(inv)

@@ -14,16 +14,20 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .gaussian import GaussianRational, I, ZERO
+from .gaussian import GaussianRational, ZERO
 from .polynomials import MatrixPolynomial
 from .hypergeometric import hahn_value
 from . import exact_linalg
 
 
-def _from_entries(n, entries):
-    """Build a constant matrix from a dict {(i, j): scalar}."""
-    return MatrixPolynomial.from_function(
-        n, n, lambda i, j: entries.get((i, j), 0))
+def _band(n, sub=(), diag=(), sup=()):
+    """The n x n matrix, as nested lists of GaussianRational, with sub[j] at
+    (j+1, j), diag[j] at (j, j), sup[j] at (j, j+1) and zeros elsewhere."""
+    m = [[ZERO] * n for _ in range(n)]
+    for (r, c), band in (((1, 0), sub), ((0, 0), diag), ((0, 1), sup)):
+        for j, x in enumerate(band):
+            m[j + r][j + c] = GaussianRational.of(x)
+    return m
 
 
 @dataclass(frozen=True)
@@ -63,84 +67,58 @@ def build_structures(ell: int) -> StructureSet:
     n = ell + 1
     half = Fraction(ell, 2)
 
-    A0 = MatrixPolynomial.diagonal([ell - 2 * j for j in range(n)])
-
-    c0 = {}
-    for j in range(1, n):
-        v = j * (ell - j + 1)
-        c0[(j, j - 1)] = v
-        c0[(j, j)] = c0.get((j, j), GaussianRational(0)) - v
-    C0 = _from_entries(n, c0)
-
-    c1 = {}
-    for j in range(ell):
-        v = (j + 1) * (ell - j)
-        c1[(j, j + 1)] = v
-        c1[(j, j)] = c1.get((j, j), GaussianRational(0)) - v
-    C1 = _from_entries(n, c1)
-
-    V0 = MatrixPolynomial.diagonal([j * (j + 1) for j in range(n)])
-    V = MatrixPolynomial.diagonal([j * (j + 2) for j in range(n)])
-    C = MatrixPolynomial.diagonal([2 * j + 3 for j in range(n)])
-    J = MatrixPolynomial.diagonal(list(range(n)))
-
-    Q0 = _from_entries(n, {(j, j + 1): Fraction((j + 1) * (ell + j + 2),
-                                                2 * j + 3)
-                           for j in range(ell)})
-    Q1 = _from_entries(n, {(j, j - 1): Fraction(j * (ell - j + 1), 2 * j - 1)
-                           for j in range(1, n)})
-    M = _from_entries(n, {(j, j + 1): (j + 1) * (ell + j + 2)
-                          for j in range(ell)})
-    S1 = _from_entries(n, {(j, j + 1): 2 * (j + 1) for j in range(ell)})
-
-    r1 = {}
-    for j in range(ell):
-        r1[(j, j + 1)] = Fraction(j + 1, 2)
-        r1[(j + 1, j)] = Fraction(-(ell - j), 2)
-    R1 = _from_entries(n, r1)
-    R2 = MatrixPolynomial.diagonal([half - j for j in range(n)])
-    Lambda0 = MatrixPolynomial.diagonal([-j * (j + 2) for j in range(n)])
-    M0 = MatrixPolynomial.diagonal([-j * (half + 1) for j in range(n)])
-    B = _from_entries(n, {
-        **{(j, j): Fraction(2 * j + 3, 2) for j in range(n)},
-        **{(j, j + 1): -(j + 1) for j in range(ell)},
-    })
-
+    js, up = range(n), range(ell)   # diagonal and off-diagonal indices
+    bands = dict(
+        A0=_band(n, diag=[ell - 2 * j for j in js]),
+        C0=_band(n, sub=[(j + 1) * (ell - j) for j in up],
+                 diag=[-j * (ell - j + 1) for j in js]),
+        C1=_band(n, diag=[-(j + 1) * (ell - j) for j in js],
+                 sup=[(j + 1) * (ell - j) for j in up]),
+        V0=_band(n, diag=[j * (j + 1) for j in js]),
+        V=_band(n, diag=[j * (j + 2) for j in js]),
+        C=_band(n, diag=[2 * j + 3 for j in js]),
+        J=_band(n, diag=js),
+        Q0=_band(n, sup=[Fraction((j + 1) * (ell + j + 2), 2 * j + 3)
+                         for j in up]),
+        Q1=_band(n, sub=[Fraction((j + 1) * (ell - j), 2 * j + 1)
+                         for j in up]),
+        M=_band(n, sup=[(j + 1) * (ell + j + 2) for j in up]),
+        S1=_band(n, sup=[2 * (j + 1) for j in up]),
+        R1=_band(n, sub=[Fraction(-(ell - j), 2) for j in up],
+                 sup=[Fraction(j + 1, 2) for j in up]),
+        R2=_band(n, diag=[half - j for j in js]),
+        Lambda0=_band(n, diag=[-j * (j + 2) for j in js]),
+        M0=_band(n, diag=[-j * (half + 1) for j in js]),
+        B=_band(n, diag=[Fraction(2 * j + 3, 2) for j in js],
+                sup=[-(j + 1) for j in up]),
+        UstarU=_band(n, diag=[
+            Fraction(factorial(j + ell + 1) * factorial(ell - j),
+                     (2 * j + 1) * factorial(ell) * factorial(ell))
+            for j in js]),
+    )
     U = MatrixPolynomial(
         [[hahn_value(k, j, ell) for k in range(n)] for j in range(n)]
     )
     Uinv = MatrixPolynomial(exact_linalg.invert(U.constant_value()))
-    UstarU = MatrixPolynomial.diagonal([
-        Fraction(factorial(j + ell + 1) * factorial(ell - j),
-                 (2 * j + 1) * factorial(ell) * factorial(ell))
-        for j in range(n)
-    ])
-
-    return StructureSet(ell=ell, A0=A0, C0=C0, C1=C1, V0=V0, V=V, C=C, J=J,
-                        Q0=Q0, Q1=Q1, M=M, S1=S1, R1=R1, R2=R2,
-                        Lambda0=Lambda0, M0=M0, B=B, U=U, Uinv=Uinv,
-                        UstarU=UstarU)
+    return StructureSet(ell=ell, U=U, Uinv=Uinv, **{
+        name: MatrixPolynomial(m) for name, m in bands.items()})
 
 
 def build_L(ell: int, n: int) -> list:
     """Tridiagonal matrix L at the spectral point lambda = -n(n+2), as
     nested lists of GaussianRational.
 
-    The subdiagonal depends on n through the factors (n-j+1)(n+j+1).
+    Only the subdiagonal entry (j+1, j) depends on n, through the factors
+    (n-j)(n+j+2).
     """
-    size = ell + 1
-    L = [[ZERO] * size for _ in range(size)]
-    for j in range(1, size):
-        L[j][j - 1] = I * GaussianRational(
-            Fraction(j * (ell - j + 1), 2 * (2 * j - 1) * (2 * j + 1))
-        ) * GaussianRational((n - j + 1) * (n + j + 1))
-    for j in range(size):
-        L[j][j] = GaussianRational(Fraction(-j * (j + 1), 2))
-    for j in range(size - 1):
-        L[j][j + 1] = -I * GaussianRational(
-            Fraction((j + 1) * (ell + j + 2), 2)
-        )
-    return L
+    return _band(
+        ell + 1,
+        sub=[GaussianRational(0, Fraction(
+            (j + 1) * (ell - j) * (n - j) * (n + j + 2),
+            2 * (2 * j + 1) * (2 * j + 3))) for j in range(ell)],
+        diag=[Fraction(-j * (j + 1), 2) for j in range(ell + 1)],
+        sup=[GaussianRational(0, Fraction(-(j + 1) * (ell + j + 2), 2))
+             for j in range(ell)])
 
 
 @dataclass(frozen=True)

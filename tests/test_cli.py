@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from sphmop import cli
 from sphmop.gaussian import parse_gaussian
@@ -133,6 +134,16 @@ PINNED_DIGESTS = {
 }
 
 
+# sha256 of `structures` at odd ell and the band edges: ell = 0 has no
+# off-diagonal band, ell = 1 has one entry in each
+STRUCTURES_DIGESTS = {
+    0: "c00868e5adf2962fd239b1ffbdb5420d0cecfc7ae8209bb10dc63bb0c07ddb94",
+    1: "a447ec26de429b8c56d4242de5a375d20b64ed2a4a2f564af3f9ebdc2ab9ad36",
+    3: "d664507194d492173c65dae3a4138182ff0c2df1597212af2a898afd41761a6e",
+    9: "962ce0a9832ba620c4c1befa805c794f22e626db363fef519404125168d95616",
+}
+
+
 class TestDeterminism:
     def test_verify_report_is_pinned(self, capsys):
         # row labels and their order are part of the output contract
@@ -148,6 +159,13 @@ class TestDeterminism:
         _, out1, _ = run(capsys, "structures", "--ell", "4")
         _, out2, _ = run(capsys, "structures", "--ell", "4")
         assert out1 == out2
+
+    @pytest.mark.parametrize("ell", sorted(STRUCTURES_DIGESTS))
+    def test_structures_pinned(self, capsys, ell):
+        code, out, _ = run(capsys, "structures", "--ell", str(ell))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() \
+            == STRUCTURES_DIGESTS[ell]
 
     def test_outputs_pinned(self, capsys, tmp_path):
         # sha256 of exact outputs, taken before the scalar became an integer

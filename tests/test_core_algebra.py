@@ -189,13 +189,6 @@ class TestPolynomial:
         assert q == Polynomial([0, 1])    # 1 - 2(1-u)/2 = u
         assert q(Fraction(1, 3)) == GaussianRational(Fraction(1, 3))
 
-    def test_scalar_over_constant(self):
-        # the pivot division of exact_linalg.rref on polynomial entries
-        assert ONE / Polynomial.constant(4) \
-            == Polynomial.constant(Fraction(1, 4))
-        with pytest.raises(ZeroDivisionError):
-            ONE / Polynomial.zero()
-
 
 def _upper_triangular(n, coeffs):
     """Build an n x n upper triangular matrix with nonzero constant
@@ -335,3 +328,40 @@ class TestMatrixPolynomial:
     @given(triangular_matrices())
     def test_conjugate_transpose_involution(self, M):
         assert M.conjugate_transpose().conjugate_transpose() == M
+
+    def test_zero_keeps_its_shape(self):
+        # the zero matrix holds no coefficient matrix, so every product, sum
+        # and adjoint must carry its shape over
+        Z = MatrixPolynomial.zeros
+        column = MatrixPolynomial([[1], [Polynomial([0, 2])], [3]])
+        row = MatrixPolynomial([[1, Polynomial([0, 2]), 3]])
+        assert Z(2, 3) * column == Z(2, 1)
+        assert row * Z(3, 2) == Z(1, 2)
+        assert Z(3, 1).conjugate_transpose() == Z(1, 3)
+        assert Z(2, 3) + Z(2, 3) == Z(2, 3)
+        assert Polynomial.zero() * row == Z(1, 3)
+        assert MatrixPolynomial([[1, 2], [3, I]]).derivative() == Z(2, 2)
+        for M in (Z(2, 1), Z(1, 2), Z(1, 3), Z(2, 3)):
+            assert M.is_zero() and M.degree() is None
+
+    def test_coefficient_matrix_is_a_fresh_copy(self):
+        u = Polynomial.variable()
+        M = MatrixPolynomial([[u, 1, 0], [0, u * u, I]])
+        assert M.coefficient_matrix(3) == [[ZERO] * 3, [ZERO] * 3]
+        C = M.coefficient_matrix(1)
+        C[0][0] = I
+        C[1].append(ONE)
+        M.coefficient_matrix(3)[0][0] = I
+        assert M.coefficient_matrix(1) == [[ONE, ZERO, ZERO],
+                                           [ZERO, ZERO, ZERO]]
+        assert M.coefficient_matrix(3) == [[ZERO] * 3, [ZERO] * 3]
+        assert M[0, 0] == u and M.degree() == 2
+
+    def test_equal_matrices_hash_alike(self):
+        u = Polynomial.variable()
+        M = MatrixPolynomial([[u, 1], [0, u * u + I]])
+        eye = MatrixPolynomial.identity(2)
+        for other in (M * eye, eye * M, M + MatrixPolynomial.zeros(2, 2),
+                      -(-M), (M * u - M * u) + M,
+                      M.conjugate_transpose().conjugate_transpose()):
+            assert other == M and hash(other) == hash(M)

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import dataclasses
+import hashlib
 
 import pytest
 
-from sphmop.gaussian import GaussianRational, I, ZERO
+from sphmop.gaussian import GaussianRational, I, ZERO, format_gaussian
 from sphmop.structure import build_structures, build_L, eigen_ledger
 from sphmop import exact_linalg
 
@@ -128,6 +129,17 @@ class TestMatrixL:
         # the closing row is 0 = mu * 0 because the subdiagonal factor
         # (n - ell + 1) vanishes
         assert out[2].is_zero() and vec[2].is_zero()
+
+    def test_pinned(self):
+        # sha256 of every L(ell, n) for ell <= 12 and n <= 19, each entry
+        # as format_gaussian writes it
+        h = hashlib.sha256()
+        for ell in range(13):
+            for n in range(20):
+                h.update(repr([[format_gaussian(x) for x in row]
+                               for row in build_L(ell, n)]).encode())
+        assert h.hexdigest() == \
+            "33dd52b447fcbf6f9785454aaff4b099eddd3de09546af7b3115b2ae04183727"
 
     def test_geometric_multiplicity_one(self):
         # L - mu I has rank ell for every ledger eigenvalue
