@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, perm
 
 from .gaussian import GaussianRational, ZERO, ONE
@@ -29,13 +30,15 @@ class CoefficientVector:
     a: tuple
 
 
+@lru_cache(maxsize=None)
 def coeffs_by_recursion(ell: int, w: int, k: int) -> CoefficientVector:
     """Solve the three-term recursion forward from a_0 = 1.
 
     The recursion is the eigenvector equation L(lambda) a = mu a read row by
     row; the superdiagonal coefficient -i(j+1)(ell+j+2)/2 never vanishes, so
     each row determines the next entry.  The last row is a closing relation
-    with no new unknown; it is asserted, not solved.
+    with no new unknown; it is asserted, not solved.  Cached per
+    (ell, w, k); the frozen vector is shared by every caller.
     """
     if w < 0 or not 0 <= k <= ell:
         raise ValueError("need w >= 0 and 0 <= k <= ell")
@@ -84,12 +87,15 @@ def coeffs_by_racah(ell: int, w: int, k: int) -> CoefficientVector:
 _HALF_ONE_MINUS_U = Polynomial([Fraction(1, 2), Fraction(-1, 2)])
 
 
-def column_entry(w: int, k: int, j: int, a_j: GaussianRational) -> Polynomial:
-    """Entry (j, k) of P_w: a_j * 2F1(-w-k+j, w+k+j+2; j+3/2; (1-u)/2)."""
+def column_entry(w: int, k: int, j: int, a_j: GaussianRational, z):
+    """Entry (j, k) of P_w at z = (1-u)/2: a_j * 2F1(-w-k+j, w+k+j+2; j+3/2;
+    z).  z is _HALF_ONE_MINUS_U for the entry as a Polynomial in u, or an
+    exact point for its value there; the result has z's ring."""
     if a_j.is_zero():
-        return Polynomial.zero()
+        # the tail j > w+k, where the series would not terminate
+        return z * a_j
     f = hyp_terminating([-(w + k - j), w + k + j + 2],
-                        [Fraction(2 * j + 3, 2)], _HALF_ONE_MINUS_U)
+                        [Fraction(2 * j + 3, 2)], z)
     return f * a_j
 
 
@@ -98,7 +104,8 @@ def build_Pw(ell: int, w: int) -> MatrixPolynomial:
     cols = [coeffs_by_recursion(ell, w, k) for k in range(ell + 1)]
     return MatrixPolynomial.from_function(
         ell + 1, ell + 1,
-        lambda j, k: column_entry(w, k, j, cols[k].a[j]),
+        lambda j, k: column_entry(w, k, j, cols[k].a[j],
+                                  _HALF_ONE_MINUS_U),
     )
 
 
@@ -130,15 +137,18 @@ def build_family(ell: int, w_max: int) -> FamilyPackage:
 def eval_H(ell: int, w: int, k: int, u: float):
     """Numeric value of the vector H(u) = U diag((1-u^2)^{j/2}) P_col(u).
 
-    Valid for u in [-1, 1].  At u = 1 every half-integer power collapses and
-    the value is (1, ..., 1) since a_0 = 1.
+    Valid for u in [-1, 1].  Each entry of P_col is summed exactly at the
+    float u taken as a Fraction and rounded once.  At u = 1 every
+    half-integer power collapses and the value is (1, ..., 1) since
+    a_0 = 1.
     """
+    u = float(u)
     if not -1.0 <= u <= 1.0:
         raise ValueError("u must lie in [-1, 1]")
     st = build_structures(ell)
-    coeffs = coeffs_by_recursion(ell, w, k)
-    p = [complex(column_entry(w, k, j, coeffs.a[j])(u))
-         for j in range(ell + 1)]
+    a = coeffs_by_recursion(ell, w, k).a
+    z = (1 - Fraction(u)) / 2
+    p = [complex(column_entry(w, k, j, a[j], z)) for j in range(ell + 1)]
     t = [(1.0 - u * u) ** (j / 2.0) for j in range(ell + 1)]
     U = st.U.constant_value()
     return [sum(complex(U[r][j]) * t[j] * p[j] for j in range(ell + 1))

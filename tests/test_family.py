@@ -4,16 +4,19 @@ from fractions import Fraction
 from math import factorial
 
 import dataclasses
+import math
+import random
 
+import numpy as np
 import pytest
 
 from sphmop.gaussian import GaussianRational, ZERO, ONE, I
 from sphmop.polynomials import Polynomial, MatrixPolynomial
 from sphmop.family import (coeffs_by_recursion, coeffs_by_racah, build_Pw,
                            eval_H)
-from sphmop.structure import build_L, eigen_ledger
+from sphmop.structure import build_L, build_structures, eigen_ledger
 
-from conftest import GRID_ELLS, edit_result, failing_rows, verify_row
+from conftest import WMAX, GRID_ELLS, edit_result, failing_rows, verify_row
 from test_hypergeometric import gegenbauer
 
 
@@ -166,5 +169,54 @@ class TestEvalH:
                 assert abs(eval_H(0, n, 0, u)[0] - ref) < 1e-12
 
     def test_domain_check(self):
-        with pytest.raises(ValueError):
-            eval_H(2, 1, 1, 1.5)
+        for u in (1.5, -1.0000001, math.nan, math.inf, -math.inf,
+                  np.float32(1.5), np.float64(math.nan)):
+            with pytest.raises(ValueError, match=r"u must lie in \[-1, 1\]"):
+                eval_H(2, 1, 1, u)
+
+    def test_numpy_and_int_inputs(self):
+        # u is read through float(), so any real scalar type evaluates
+        for u in (np.float32(0.5), np.float32(0.3), np.float64(-0.7),
+                  0, 1, -1):
+            assert eval_H(4, 3, 2, u) == eval_H(4, 3, 2, float(u))
+
+    def test_matches_exact_evaluation(self, families):
+        # each entry of P_w[:, k] at the float u taken exactly, rounded
+        # once: the same float combination U diag(t) p as eval_H, with p
+        # from the exact polynomials of build_Pw
+        rng = random.Random(20)
+        points = [-1.0, -0.999999, 0.0, 0.5, 0.9999999999, 1.0] + [
+            rng.uniform(-1.0, 1.0) for _ in range(4)]
+        worst = 0.0
+        for ell in GRID_ELLS:
+            U = build_structures(ell).U.constant_value()
+            n = ell + 1
+            for w in range(WMAX + 1):
+                Pw = families[ell].Pw[w]
+                for k in range(n):
+                    for u in points:
+                        p = [complex(Pw[j, k](Fraction(u))) for j in range(n)]
+                        t = [(1.0 - u * u) ** (j / 2.0) for j in range(n)]
+                        ref = [sum(complex(U[r][j]) * t[j] * p[j]
+                                   for j in range(n)) for r in range(n)]
+                        for x, y in zip(eval_H(ell, w, k, u), ref):
+                            worst = max(worst, abs(x - y) / max(1, abs(y)))
+        assert worst <= 1e-14
+
+    def test_repeat_call_rebuilds_nothing(self, monkeypatch):
+        # after one call at (ell, w, k), another builds no Polynomial and
+        # takes the a-vector from the cache
+        eval_H(6, 5, 3, 0.25)
+        built = []
+        init = Polynomial.__init__
+
+        def counted(self, coeffs):
+            built.append(1)
+            init(self, coeffs)
+
+        monkeypatch.setattr(Polynomial, "__init__", counted)
+        before = coeffs_by_recursion.cache_info()
+        eval_H(6, 5, 3, -0.6)
+        after = coeffs_by_recursion.cache_info()
+        assert not built
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
