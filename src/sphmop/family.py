@@ -3,7 +3,8 @@ and the orthogonal family P_w~ = Psi^{-1} P_w.
 
 The a-vectors are produced by two independent code paths, a three-term
 recursion and a Racah closed form, and the tests cross-check them entry by
-entry; neither path is trusted alone.
+entry; neither path is trusted alone.  P_w reads its entries from one
+normalised Gegenbauer table; eval_H sums them as 2F1 series at a point.
 """
 
 from __future__ import annotations
@@ -83,30 +84,31 @@ def coeffs_by_racah(ell: int, w: int, k: int) -> CoefficientVector:
     return CoefficientVector(ell=ell, w=w, k=k, a=tuple(out))
 
 
-# the argument (1-u)/2 of every package entry, as a Polynomial in u
-_HALF_ONE_MINUS_U = Polynomial([Fraction(1, 2), Fraction(-1, 2)])
-
-
-def column_entry(w: int, k: int, j: int, a_j: GaussianRational, z):
-    """Entry (j, k) of P_w at z = (1-u)/2: a_j * 2F1(-w-k+j, w+k+j+2; j+3/2;
-    z).  z is _HALF_ONE_MINUS_U for the entry as a Polynomial in u, or an
-    exact point for its value there; the result has z's ring."""
-    if a_j.is_zero():
-        # the tail j > w+k, where the series would not terminate
-        return z * a_j
-    f = hyp_terminating([-(w + k - j), w + k + j + 2],
-                        [Fraction(2 * j + 3, 2)], z)
-    return f * a_j
+@lru_cache(maxsize=None)
+def normalised_gegenbauer(lam: int, m: int) -> Polynomial:
+    """C^lam_m(u) / C^lam_m(1) = 2F1(-m, m+2lam; lam+1/2; (1-u)/2) by the
+    recurrence DLMF 18.9.1 normalised at u = 1; the lower degrees are cached
+    first, upward, so no call recurses more than one level."""
+    if m < 0:
+        raise ValueError("degree must be nonnegative")
+    if m < 2:
+        return Polynomial([0, 1] if m else [1])
+    for d in range(2, m):
+        normalised_gegenbauer(lam, d)
+    return (Polynomial.variable() * normalised_gegenbauer(lam, m - 1)
+            * Fraction(2 * (m + lam - 1), m + 2 * lam - 1)
+            - normalised_gegenbauer(lam, m - 2)
+            * Fraction(m - 1, m + 2 * lam - 1))
 
 
 def build_Pw(ell: int, w: int) -> MatrixPolynomial:
-    """The package P_w with columns indexed by k."""
-    cols = [coeffs_by_recursion(ell, w, k) for k in range(ell + 1)]
+    """The package P_w: entry (j, k) is a_j * normalised_gegenbauer(j+1,
+    w+k-j), and zero where a_j is, as on the whole tail j > w+k."""
+    cols = [coeffs_by_recursion(ell, w, k).a for k in range(ell + 1)]
     return MatrixPolynomial.from_function(
         ell + 1, ell + 1,
-        lambda j, k: column_entry(w, k, j, cols[k].a[j],
-                                  _HALF_ONE_MINUS_U),
-    )
+        lambda j, k: (Polynomial.zero() if cols[k][j].is_zero() else
+                      normalised_gegenbauer(j + 1, w + k - j) * cols[k][j]))
 
 
 @dataclass(frozen=True)
@@ -137,19 +139,20 @@ def build_family(ell: int, w_max: int) -> FamilyPackage:
 def eval_H(ell: int, w: int, k: int, u: float):
     """Numeric value of the vector H(u) = U diag((1-u^2)^{j/2}) P_col(u).
 
-    Valid for u in [-1, 1].  Each entry of P_col is summed exactly at the
-    float u taken as a Fraction and rounded once.  At u = 1 every
-    half-integer power collapses and the value is (1, ..., 1) since
-    a_0 = 1.
+    Valid for u in [-1, 1].  Each entry a_j 2F1(j-w-k, w+k+j+2; j+3/2;
+    (1-u)/2) of P_col is summed exactly at the float u taken as a Fraction
+    and rounded once.  At u = 1 every half-integer power collapses and the
+    value is (1, ..., 1) since a_0 = 1.
     """
     u = float(u)
     if not -1.0 <= u <= 1.0:
         raise ValueError("u must lie in [-1, 1]")
-    st = build_structures(ell)
     a = coeffs_by_recursion(ell, w, k).a
     z = (1 - Fraction(u)) / 2
-    p = [complex(column_entry(w, k, j, a[j], z)) for j in range(ell + 1)]
+    p = [complex(x * hyp_terminating([j - w - k, w + k + j + 2],
+                                     [Fraction(2 * j + 3, 2)], z))
+         if not x.is_zero() else 0j for j, x in enumerate(a)]
     t = [(1.0 - u * u) ** (j / 2.0) for j in range(ell + 1)]
-    U = st.U.constant_value()
+    U = build_structures(ell).U.constant_value()
     return [sum(complex(U[r][j]) * t[j] * p[j] for j in range(ell + 1))
             for r in range(ell + 1)]

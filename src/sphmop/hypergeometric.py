@@ -1,8 +1,9 @@
 """Terminating hypergeometric series and the classical families built on them.
 
-Everything here is a finite sum of Pochhammer ratios evaluated exactly, so
-the same code path serves as its own oracle for the closed-form identities
-checked in the tests.
+Everything here is a finite sum of Pochhammer ratios evaluated exactly at a
+scalar point.  The tests check it against closed forms computed another way:
+the Pfaff-Saalschutz value, and Gegenbauer polynomials from their explicit
+sum.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .gaussian import GaussianRational, as_fraction
-from .polynomials import Polynomial
 
 
 def hyp_terminating(numerator, denominator, z):
@@ -19,10 +19,10 @@ def hyp_terminating(numerator, denominator, z):
     The parameters are rationals; the series must terminate through a
     nonpositive integer numerator parameter, and no denominator parameter
     may hit zero before it does (ValueError otherwise).  The argument z is a
-    ring element: a GaussianRational (or a rational), or a Polynomial, and
-    the value has its type.  The rational series coefficients are
-    accumulated as Pochhammer ratios to avoid factorial blowup, then summed
-    by Horner's rule in z.
+    scalar, a GaussianRational or a rational, and the value is a
+    GaussianRational.  The rational series coefficients are accumulated as
+    Pochhammer ratios to avoid factorial blowup, then summed by Horner's
+    rule in z.
     """
     numerator = [as_fraction(a) for a in numerator]
     denominator = [as_fraction(b) for b in denominator]
@@ -43,10 +43,7 @@ def hyp_terminating(numerator, denominator, z):
         for b in denominator:
             c /= b + m
         coeffs.append(c)
-    if isinstance(z, Polynomial):
-        acc = Polynomial.constant(coeffs[-1])
-    else:
-        z, acc = GaussianRational.of(z), GaussianRational(coeffs[-1])
+    z, acc = GaussianRational.of(z), GaussianRational(coeffs[-1])
     for c in reversed(coeffs[:-1]):
         acc = acc * z + c
     return acc

@@ -6,14 +6,16 @@ from math import factorial
 import dataclasses
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from sphmop.gaussian import GaussianRational, ZERO, ONE, I
 from sphmop.polynomials import Polynomial, MatrixPolynomial
+from sphmop import family, hypergeometric
 from sphmop.family import (coeffs_by_recursion, coeffs_by_racah, build_Pw,
-                           eval_H)
+                           eval_H, normalised_gegenbauer)
 from sphmop.structure import build_L, build_structures, eigen_ledger
 
 from conftest import WMAX, GRID_ELLS, edit_result, failing_rows, verify_row
@@ -110,6 +112,8 @@ class TestCoefficients:
             coeffs_by_recursion(2, -1, 0)
         with pytest.raises(ValueError):
             coeffs_by_racah(2, 0, 3)
+        with pytest.raises(ValueError):
+            normalised_gegenbauer(1, -1)
 
 
 class TestPackages:
@@ -131,11 +135,51 @@ class TestPackages:
                 assert Psi[i, i].is_constant() and not Psi[i, i].is_zero()
 
     def test_psi_entries_match_gegenbauer_form(self):
-        for ell in (0, 1, 2, 4):
-            Psi = build_Pw(ell, 0)
-            for j in range(ell + 1):
+        # entry (j, k) of P_w is a_j C^(j+1)_(w+k-j)(u) / C^(j+1)_(w+k-j)(1),
+        # zero for j > w+k, with a_j from the Racah closed form; at w = 0
+        # it is also psi_entry_reference
+        for ell in GRID_ELLS + (3,):
+            for w in range(WMAX + 1):
+                P = build_Pw(ell, w)
                 for k in range(ell + 1):
-                    assert Psi[j, k] == psi_entry_reference(ell, j, k)
+                    a = coeffs_by_racah(ell, w, k).a
+                    for j in range(ell + 1):
+                        if j > w + k:
+                            assert P[j, k].is_zero()
+                            continue
+                        C = gegenbauer(w + k - j, j + 1)
+                        assert P[j, k] == C * (a[j] / C(1))
+                        if w == 0:
+                            assert P[j, k] == psi_entry_reference(ell, j, k)
+
+    def test_entries_come_from_one_gegenbauer_table(self, monkeypatch):
+        # with the structures built, no P_w sums a 2F1; a second P_w reads
+        # the entries it shares with the first from the cached table
+        def no_2f1(*args):
+            raise AssertionError(f"hyp_terminating{args} called")
+
+        build_structures(4)
+        for module in (family, hypergeometric):
+            monkeypatch.setattr(module, "hyp_terminating", no_2f1)
+        build_Pw(4, 5)
+        before = normalised_gegenbauer.cache_info()
+        build_Pw(4, 3)
+        after = normalised_gegenbauer.cache_info()
+        assert after.hits > before.hits and after.misses == before.misses
+
+    def test_gegenbauer_table_recurses_one_level(self):
+        # degree 150 of a fresh table fits under a recursion limit a few
+        # dozen frames above the current depth
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            C = normalised_gegenbauer(40, 150)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert C.degree() == 150 and C(1) == ONE
 
     def test_family_basics(self, families):
         for ell, fam in families.items():

@@ -1,7 +1,7 @@
 """Terminating hypergeometric series, Gegenbauer, Hahn, and Racah values."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -12,20 +12,40 @@ from sphmop.hypergeometric import hyp_terminating, hahn_value, racah_value
 
 def gegenbauer(n, lam):
     """Gegenbauer polynomial C_n^lam(u) as an exact Polynomial in u, from
-    2F1(-n, n+2 lam; lam+1/2; (1-u)/2)."""
-    s = Polynomial([Fraction(1, 2), Fraction(-1, 2)])
-    return hyp_terminating([-n, n + 2 * lam], [Fraction(2 * lam + 1, 2)], s) \
-        * comb(n + 2 * lam - 1, n)
+    the explicit sum (DLMF 18.5.10)
+    sum_k (-1)^k (lam)_{n-k} / (k! (n-2k)!) (2u)^{n-2k}, which is neither
+    the three-term recurrence nor the 2F1 series."""
+    coeffs = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        coeffs[n - 2 * k] = Fraction(
+            (-1) ** k * prod(lam + i for i in range(n - k)) * 2 ** (n - 2 * k),
+            factorial(k) * factorial(n - 2 * k))
+    return Polynomial(coeffs)
 
 
 class TestTerminatingSeries:
-    def test_symbolic_2f1(self):
-        # a Polynomial argument gives a Polynomial: 2F1(-1, 3; 3/2; z) is
-        # 1 - 2z, which is u at z = (1-u)/2
-        u = Polynomial.variable()
-        s = Polynomial([Fraction(1, 2), Fraction(-1, 2)])
-        for z, value in ((u, Polynomial([1, -2])), (s, u)):
-            assert hyp_terminating([-1, 3], [Fraction(3, 2)], z) == value
+    def test_2f1_at_scalar_points(self):
+        # 2F1(-1, 3; 3/2; z) is 1 - 2z, so it is x at z = (1-x)/2
+        for x in (Fraction(-3, 4), 0, Fraction(2, 5), GaussianRational(1, 2)):
+            x = GaussianRational.of(x)
+            assert hyp_terminating([-1, 3], [Fraction(3, 2)], x) == 1 - 2 * x
+            assert hyp_terminating([-1, 3], [Fraction(3, 2)], (1 - x) / 2) \
+                == x
+
+    def test_2f1_agrees_with_gegenbauer_sum(self):
+        # C_n^lam(u) / C_n^lam(1) = 2F1(-n, n+2lam; lam+1/2; (1-u)/2)
+        for lam in range(1, 5):
+            for n in range(8):
+                C = gegenbauer(n, lam)
+                for u in (Fraction(-1), Fraction(-1, 3), Fraction(5, 7)):
+                    assert hyp_terminating(
+                        [-n, n + 2 * lam], [Fraction(2 * lam + 1, 2)],
+                        (1 - u) / 2) == C(u) / C(1)
+
+    def test_rejects_polynomial_argument(self):
+        # the series is summed at scalar points only
+        with pytest.raises(TypeError):
+            hyp_terminating([-1, 3], [Fraction(3, 2)], Polynomial.variable())
 
     def test_3f2_unit_argument(self):
         assert hyp_terminating([-1, -1, 2], [1, -2], GaussianRational(1)) \
