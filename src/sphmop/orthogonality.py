@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, isqrt
 
 from .gaussian import GaussianRational, ZERO, ONE, I
 from .polynomials import Polynomial, MatrixPolynomial, mismatch
@@ -153,62 +153,6 @@ def ldu_decompose(W: WeightMatrix):
     return L, Dg, Uf
 
 
-def _rational_roots(coeffs):
-    """Rational roots of a polynomial with Fraction coefficients, lowest
-    degree first, found by the rational root theorem."""
-    # clear denominators to integers
-    den = lcm(*[c.denominator for c in coeffs]) if coeffs else 1
-    ints = [int(c * den) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    shift = 0
-    while ints and ints[0] == 0:
-        ints.pop(0)
-        shift += 1
-    roots = set()
-    if shift:
-        roots.add(Fraction(0))
-    if not ints:
-        return sorted(roots)
-    a0, alead = abs(ints[0]), abs(ints[-1])
-
-    def divisors(n):
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return out
-
-    for p in divisors(a0):
-        for q in divisors(alead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if sum(c * cand ** k for k, c in enumerate(ints)) == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
-def _minimal_polynomial(B):
-    """Minimal polynomial of a constant matrix over Q(i), as monic Fraction
-    coefficients (requires the matrix to have rational spectrum here, which
-    holds for the self-adjoint commutant elements in play)."""
-    n = len(B)
-    powers = [exact_linalg.mat_identity(n)]
-    for _ in range(n):
-        powers.append(exact_linalg.mat_mul(powers[-1], B))
-    # columns vec(B^0) ... vec(B^n): the first dependent one sits at the
-    # degree of the minimal polynomial, and all later ones stay dependent
-    cols = [[P[i][j] for P in powers] for i in range(n) for j in range(n)]
-    deg = exact_linalg.rank(cols)
-    x = exact_linalg.solve([row[:deg] for row in cols],
-                           [-row[deg] for row in cols])
-    if any(xi.im for xi in x):
-        raise ArithmeticError("minimal polynomial is not rational")
-    return [xi.re for xi in x] + [Fraction(1)]
-
-
 @dataclass(frozen=True)
 class Reduction:
     """Block-diagonalizing change of basis for a reducible weight."""
@@ -223,9 +167,8 @@ def commutant(W: WeightMatrix):
     poly_part in turn, leading coefficient first.
 
     Returns (dimension, basis, reduction) where reduction holds an exact
-    block-diagonalizing matrix R when the dimension exceeds one (columns
-    are eigenvectors of a self-adjoint non-scalar commutant element), and
-    is None otherwise.
+    block-diagonalizing matrix R when it is two (columns are eigenvectors
+    of a self-adjoint non-scalar commutant element), and is None otherwise.
     """
     n = W.ell + 1
     P = W.poly_part
@@ -257,7 +200,7 @@ def commutant(W: WeightMatrix):
     exact_linalg.rref(vecs)
     basis = [unvec(v[::-1]) for v in reversed(vecs)]
     dim = len(basis)
-    if dim <= 1:
+    if dim != 2:
         return dim, basis, None
 
     # pick a non-scalar element and make it self-adjoint
@@ -273,11 +216,22 @@ def commutant(W: WeightMatrix):
         # A is skew-Hermitian plus a scalar, so i(A - A*) is self-adjoint
         B = [[I * (A[i][j] - Astar[i][j]) for j in range(n)]
              for i in range(n)]
-    # exact spectral decomposition of the self-adjoint element B
-    minpoly = _minimal_polynomial(B)
-    roots = _rational_roots(minpoly)
-    if len(roots) < len(minpoly) - 1:
+    # the commutant is a two-dimensional *-algebra, so B^2 = p B + q I and
+    # B's eigenvalues are the roots of t^2 - p t - q; one solve finds
+    # (p, q), and raises if the identity does not hold exactly
+    B2 = exact_linalg.mat_mul(B, B)
+    p, q = exact_linalg.solve(
+        [[B[i][j], ONE if i == j else ZERO]
+         for i in range(n) for j in range(n)],
+        [B2[i][j] for i in range(n) for j in range(n)])
+    if p.im or q.im:
+        raise ArithmeticError("minimal polynomial is not rational")
+    p, q = p.re, q.re
+    disc = p * p + 4 * q
+    root = Fraction(isqrt(abs(disc.numerator)), isqrt(disc.denominator))
+    if disc < 0 or root * root != disc:
         raise ArithmeticError("commutant element has irrational spectrum")
+    roots = ((p - root) / 2, (p + root) / 2)
     columns = []
     block_sizes = []
     for t in roots:

@@ -2,17 +2,14 @@
 reduced row echelon form, so each is checked against its defining equation
 on small random matrices, rank-deficient products (k x r)(r x n) included."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sphmop import cli, exact_linalg as el
 from sphmop.cli import verify_rows
 from sphmop.gaussian import GaussianRational, ZERO, ONE
-from sphmop.orthogonality import (_minimal_polynomial, _rational_roots,
-                                  build_weight)
-from sphmop.polynomials import MatrixPolynomial, Polynomial
+from sphmop.orthogonality import build_weight
+from sphmop.polynomials import Polynomial
 from sphmop.structure import build_structures
 
 parts = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -133,24 +130,3 @@ def test_kernel_sees_scalars_only(monkeypatch, capsys):
     build_weight.cache_clear()
     assert all(w is None for _, w in verify_rows(2, 2))
     assert cli.main(["reduce", "--ell", "4"]) == 0
-
-
-@pytest.mark.parametrize("B, coeffs", [
-    ([[GaussianRational(2) if i + j == 2 else ZERO for j in range(3)]
-      for i in range(3)], [-4, 0, 1]),
-    (MatrixPolynomial.diagonal([1, 2, 2]).constant_value(), [2, -3, 1]),
-    (MatrixPolynomial.diagonal([3, 3, 3]).constant_value(), [-3, 1]),
-])
-def test_minimal_polynomial(B, coeffs):
-    assert _minimal_polynomial(B) == coeffs
-
-
-@pytest.mark.parametrize("coeffs, roots", [
-    ([0, -4, 0, 1], [-2, 0, 2]),                        # x^3 - 4x
-    ([Fraction(-1, 4), 0, 1], [Fraction(-1, 2), Fraction(1, 2)]),
-    ([-2, 0, 1], []),                                   # x^2 - 2
-    ([0, 0, 1], [0]),                                   # x^2
-])
-def test_rational_roots(coeffs, roots):
-    # zero roots are split off before the rational root theorem runs
-    assert _rational_roots([Fraction(c) for c in coeffs]) == roots

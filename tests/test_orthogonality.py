@@ -358,7 +358,7 @@ class TestCommutant:
         # the reversal, for every ell >= 1; so the reduction has two blocks
         # of sizes floor(n/2) and ceil(n/2)
         assert commutant(build_weight(0))[0] == 1
-        for ell in range(1, 7):
+        for ell in range(1, 9):
             n = ell + 1
             dim, basis, red = commutant(build_weight(ell))
             assert dim == 2, ell
@@ -366,6 +366,10 @@ class TestCommutant:
             J = [[GaussianRational(int(i + j == ell)) for j in range(n)]
                  for i in range(n)]
             assert in_span(J, basis), ell
+            # R's columns are J's eigenvectors: the -1 block, then the +1
+            signs = MatrixPolynomial.diagonal([-1] * (n // 2)
+                                              + [1] * (n - n // 2))
+            assert MatrixPolynomial(J) * red.R == red.R * signs, ell
 
     def test_agrees_with_stacked_system_oracle(self):
         # the basis is exactly the one-shot nullspace's, list for list, so
@@ -377,7 +381,8 @@ class TestCommutant:
     def test_hand_built_weights(self, monkeypatch):
         # weights the family never produces, one per branch of the
         # intersection: no lower coefficient, a shrinking basis, and the
-        # early exit at dimension one
+        # early exit at dimension one; only a two-dimensional commutant is
+        # reduced, so none of them has a reduction
         u = Polynomial.variable()
         n = 3
         distinct = MatrixPolynomial.diagonal([1, 2, 3])
@@ -404,7 +409,26 @@ class TestCommutant:
             result = commutant(W)
             assert result[0] == dim
             assert result[1] == oracle
+            assert result[2] is None
             assert calls.count(n * n) == systems
+
+    def test_quadratic_branches(self):
+        # [[2, 1], [1, 2]] has eigenvalues 1 and 3, eigenvectors (-1, 1)
+        # and (1, 1), taken in ascending order
+        W = WeightMatrix(ell=1, poly_part=MatrixPolynomial([[2, 1], [1, 2]]))
+        dim, basis, red = commutant(W)
+        assert dim == 2
+        assert red.R == MatrixPolynomial([[-1, 1], [1, 1]])
+        assert red.block_sizes == (1, 1)
+        # the commutant of [[1, 1], [1, 0]] is span{I, W}, and W's
+        # eigenvalues (1 +- sqrt 5)/2 are not rational, with or without a
+        # lower coefficient to intersect first
+        W0 = MatrixPolynomial([[1, 1], [1, 0]])
+        for poly_part in (W0, W0 + MatrixPolynomial.identity(2)
+                          * Polynomial.variable()):
+            W = WeightMatrix(ell=1, poly_part=poly_part)
+            with pytest.raises(ArithmeticError, match="irrational spectrum"):
+                commutant(W)
 
     def test_skew_fallback(self):
         # the commutant of I + u [[0, i], [-i, 0]] is span{I, K} with K the
