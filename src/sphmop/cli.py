@@ -291,7 +291,7 @@ def _cmd_reconstruct(args):
     for t, theta in zip(texts, thetas):
         if not math.isfinite(theta):
             raise ValueError(f"--theta value {t!r} is not a finite number")
-    from . import geometry   # loads numpy and scipy, which exact commands skip
+    from . import geometry   # loads numpy, which exact commands skip
     out = []
     for t in thetas:
         g = geometry.plane_rotation_14(t)
@@ -305,7 +305,7 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_cover(args):
-    from . import geometry   # loads numpy and scipy, which exact commands skip
+    from . import geometry   # loads numpy, which exact commands skip
     with open(args.matrix) as fh:
         g = json.load(fh)
     a, b = geometry.wedge_cover(g)

@@ -136,6 +136,12 @@ def build_family(ell: int, w_max: int) -> FamilyPackage:
                          PwTilde=PwTilde)
 
 
+# ell -> the Hahn matrix U of build_structures(ell) with complex entries,
+# converted once per ell (a key on the structure set itself would hash
+# every one of its matrices on each lookup)
+_HAHN_COMPLEX = {}
+
+
 def eval_H(ell: int, w: int, k: int, u: float):
     """Numeric value of the vector H(u) = U diag((1-u^2)^{j/2}) P_col(u).
 
@@ -153,6 +159,10 @@ def eval_H(ell: int, w: int, k: int, u: float):
                                      [Fraction(2 * j + 3, 2)], z))
          if not x.is_zero() else 0j for j, x in enumerate(a)]
     t = [(1.0 - u * u) ** (j / 2.0) for j in range(ell + 1)]
-    U = build_structures(ell).U.constant_value()
-    return [sum(complex(U[r][j]) * t[j] * p[j] for j in range(ell + 1))
+    st = build_structures(ell)
+    U = _HAHN_COMPLEX.get(ell)
+    if U is None:
+        U = _HAHN_COMPLEX[ell] = tuple(tuple(complex(x) for x in row)
+                                       for row in st.U.constant_value())
+    return [sum(U[r][j] * t[j] * p[j] for j in range(ell + 1))
             for r in range(ell + 1)]

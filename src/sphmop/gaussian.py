@@ -181,6 +181,20 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return z
 
 
+def integer_horner(p, D: int, z) -> GaussianRational:
+    """(p_0 + p_1 z + ... + p_n z^n) / D for integers p_m and D > 0, at a
+    scalar z = (a + b*i) / d.  Horner's rule runs on the Gaussian integer
+    acc <- acc (a + b*i) + p_m d^(n-m), and the sum is reduced once, as
+    acc / (D d^n)."""
+    z = GaussianRational.of(z)
+    a, b, d = z._a, z._b, z._d
+    re, im, scale = p[-1], 0, 1
+    for c in reversed(p[:-1]):
+        scale *= d
+        re, im = re * a - im * b + c * scale, re * b + im * a
+    return _reduced(re, im, D * scale)
+
+
 def _operand(x):
     """x as a GaussianRational, or NotImplemented when x is no int, Fraction
     or GaussianRational: an arithmetic method returns that, so Python tries

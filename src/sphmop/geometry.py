@@ -2,15 +2,19 @@
 representation pi_ell of SO(3), and numeric reconstruction of the matrix
 spherical functions on the group.
 
+pi_ell(k) is read off the unit quaternion of k: the quaternion gives the
+2 x 2 matrix pi_1(k), and pi_ell(k) is its ell-th symmetric power.  numpy
+is the only dependency.
+
 Everything here is double precision; tolerances are 1e-9 for single
 operations and 1e-7 for composites, on unit-scale matrices.
 """
 
 from __future__ import annotations
 
+from math import comb, sqrt
+
 import numpy as np
-from scipy.linalg import expm
-from scipy.spatial.transform import Rotation
 
 from .family import eval_H
 
@@ -88,23 +92,62 @@ class RepSO3:
             self.e[j - 1, j] = ell - j + 1
         for j in range(n - 1):
             self.f[j + 1, j] = j + 1
-        # the real rotation generators expressed through e, f, h
-        self.Y1 = -0.5j * (self.e + self.f)
-        self.Y2 = -0.5 * (self.e - self.f)
-        self.Y3 = 0.5j * self.h
+
+
+def _quaternion(k: np.ndarray) -> list:
+    """The unit quaternion [w, x, y, z] of the rotation k, with w >= 0, by
+    Shepperd's method (J. Guidance Control 1 (1978)).
+
+    The entries of k give every product 4 q_a q_b of two components: the
+    squares from the trace and the diagonal, the rest from sums and
+    differences of opposite off-diagonal entries.  The row of the largest
+    square 4 q_i^2 >= 1, divided by 4 |q_i|, is +-q.
+    """
+    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = k.tolist()
+    t = k00 + k11 + k22
+    wx, wy, wz = k21 - k12, k02 - k20, k10 - k01
+    xy, xz, yz = k01 + k10, k02 + k20, k12 + k21
+    table = ((1.0 + t, wx, wy, wz),
+             (wx, 1.0 + 2.0 * k00 - t, xy, xz),
+             (wy, xy, 1.0 + 2.0 * k11 - t, yz),
+             (wz, xz, yz, 1.0 + 2.0 * k22 - t))
+    i = max(range(4), key=lambda a: table[a][a])
+    scale = 0.5 / sqrt(table[i][i])
+    if table[i][0] < 0:
+        scale = -scale
+    return [x * scale for x in table[i]]
 
 
 def rep_exp(rep: RepSO3, k: np.ndarray) -> np.ndarray:
-    """pi_ell(k) through the axis-angle factorization of k.
+    """pi_ell(k) from the unit quaternion (w, x, y, z) of k.
 
-    The rotation vector r of k satisfies k = exp([r]_x), and [r]_x
-    corresponds to -r1 Y3 + r2 Y2 - r3 Y1 under the identification of the
-    rotation generators fixed by RepSO3 (checked against the diagonal
-    one-parameter subgroup in the tests).
+    U = [[w - ix, -y + iz], [y + iz, w + ix]] is pi_1(k) in RepSO3's basis:
+    it is exp(-r1 Y3 + r2 Y2 - r3 Y1) for the rotation vector r of k, with
+    the rotation generators Y1 = -i(e + f)/2, Y2 = -(e - f)/2, Y3 = ih/2
+    (checked against that exponential in the tests).  Taking w >= 0 lifts k
+    as the rotation vector with |r| <= pi does, which fixes the sign of
+    pi_ell(k) for odd ell.  pi_ell(k) is the ell-th symmetric power of U in
+    the basis C(ell, j) x^(ell-j) y^j: with U = [[a, b], [c, d]], column j
+    holds the y-coefficients of (a + c y)^(ell-j) (b + d y)^j, entry i
+    scaled by C(ell, j) / C(ell, i).
     """
-    r = Rotation.from_matrix(check_rotation(k, 3)).as_rotvec()
-    gen = -r[0] * rep.Y3 + r[1] * rep.Y2 - r[2] * rep.Y1
-    return expm(gen)
+    w, x, y, z = _quaternion(check_rotation(k, 3))
+    n = rep.ell + 1
+    # coefficient lists of (a + c y)^m and (b + d y)^m for m < n; q[i - 1]
+    # at i = 0 is the zero appended to q
+    left, right = [[1.0]], [[1.0]]
+    for p, c0, c1 in ((left, complex(w, -x), complex(y, z)),
+                      (right, complex(-y, z), complex(w, x))):
+        for _ in range(n - 1):
+            q = p[-1] + [0.0]
+            p.append([c0 * q[i] + c1 * q[i - 1] for i in range(len(q))])
+    cols = [[0j] * n for _ in range(n)]
+    for j, col in enumerate(cols):
+        for s, u in enumerate(left[n - 1 - j]):
+            for t, v in enumerate(right[j]):
+                col[s + t] += u * v
+    binom = np.array([float(comb(n - 1, j)) for j in range(n)])
+    return np.array(cols).T * (binom[None, :] / binom[:, None])
 
 
 def phi_pi(rep: RepSO3, g: np.ndarray) -> np.ndarray:

@@ -9,23 +9,24 @@ sum.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
-from .gaussian import GaussianRational, as_fraction
+from .gaussian import GaussianRational, as_fraction, integer_horner
 
 
-def hyp_terminating(numerator, denominator, z):
-    """Sum the terminating pFq(numerator; denominator; z) exactly.
+@lru_cache(maxsize=None)
+def series_coefficients(numerator: tuple, denominator: tuple):
+    """The coefficients of the terminating pFq(numerator; denominator; z)
+    as integer numerators p_0 .. p_n over one common denominator D, for
+    tuples of Fraction parameters.
 
-    The parameters are rationals; the series must terminate through a
-    nonpositive integer numerator parameter, and no denominator parameter
-    may hit zero before it does (ValueError otherwise).  The argument z is a
-    scalar, a GaussianRational or a rational, and the value is a
-    GaussianRational.  The rational series coefficients are accumulated as
-    Pochhammer ratios to avoid factorial blowup, then summed by Horner's
-    rule in z.
+    The series must terminate through a nonpositive integer numerator
+    parameter, and no denominator parameter may hit zero before it does
+    (ValueError otherwise; an error is not cached).  The coefficients are
+    accumulated as Pochhammer ratios to avoid factorial blowup.  Cached per
+    parameter tuple; the tuple it returns is shared by every caller.
     """
-    numerator = [as_fraction(a) for a in numerator]
-    denominator = [as_fraction(b) for b in denominator]
     stops = [-int(a) for a in numerator if a <= 0 and a.denominator == 1]
     if not stops:
         raise ValueError("series does not terminate: no nonpositive "
@@ -43,10 +44,22 @@ def hyp_terminating(numerator, denominator, z):
         for b in denominator:
             c /= b + m
         coeffs.append(c)
-    z, acc = GaussianRational.of(z), GaussianRational(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
+    D = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (D // c.denominator) for c in coeffs), D
+
+
+def hyp_terminating(numerator, denominator, z):
+    """Sum the terminating pFq(numerator; denominator; z) exactly.
+
+    The parameters are rationals (TypeError otherwise), with the conditions
+    of series_coefficients, which builds the integer series once per
+    parameter set.  The argument z is a scalar, a GaussianRational or a
+    rational, and the value is a GaussianRational: Horner's rule in z runs
+    on Gaussian integers and reduces once (gaussian.integer_horner).
+    """
+    p, D = series_coefficients(tuple(as_fraction(a) for a in numerator),
+                               tuple(as_fraction(b) for b in denominator))
+    return integer_horner(p, D, z)
 
 
 def hahn_value(k: int, j: int, ell: int) -> GaussianRational:

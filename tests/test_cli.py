@@ -338,3 +338,21 @@ class TestImportBoundary:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.splitlines()[-1] == "0 []"
+
+    def test_numeric_commands_load_no_scipy(self, tmp_path):
+        # reconstruct and cover need numpy alone
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(np.eye(4).tolist()))
+        script = (
+            "import sys, sphmop.cli\n"
+            "codes = [sphmop.cli.main(['reconstruct', '--ell', '3', '--w',\n"
+            "                          '1', '--k', '2', '--theta', '0.4']),\n"
+            f"         sphmop.cli.main(['cover', {str(path)!r}])]\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.partition('.')[0] == 'scipy')\n"
+            "print(codes, 'numpy' in sys.modules, loaded)\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "[0, 0] True []"

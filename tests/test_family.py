@@ -249,7 +249,7 @@ class TestEvalH:
 
     def test_repeat_call_rebuilds_nothing(self, monkeypatch):
         # after one call at (ell, w, k), another builds no Polynomial and
-        # takes the a-vector from the cache
+        # takes the a-vector and every series from the cache
         eval_H(6, 5, 3, 0.25)
         built = []
         init = Polynomial.__init__
@@ -260,7 +260,11 @@ class TestEvalH:
 
         monkeypatch.setattr(Polynomial, "__init__", counted)
         before = coeffs_by_recursion.cache_info()
+        series_before = hypergeometric.series_coefficients.cache_info()
         eval_H(6, 5, 3, -0.6)
         after = coeffs_by_recursion.cache_info()
+        series_after = hypergeometric.series_coefficients.cache_info()
         assert not built
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert series_after.misses == series_before.misses
+        assert series_after.hits > series_before.hits

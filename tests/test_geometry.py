@@ -5,6 +5,8 @@ import functools
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.spatial.transform import Rotation
 
 from sphmop import geometry as geo
 from sphmop.family import eval_H
@@ -38,6 +40,28 @@ def rotation_z(theta):
     """Rotation about the third axis, mixing coordinates 1 and 2."""
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def oracle_rep_exp(rep, k):
+    """pi_ell(k) through the axis-angle factorization of k: the rotation
+    vector r of k (|r| <= pi) satisfies k = exp([r]_x), and [r]_x
+    corresponds to -r1 Y3 + r2 Y2 - r3 Y1 for the rotation generators
+    below, written through RepSO3's e, f, h."""
+    Y1 = -0.5j * (rep.e + rep.f)
+    Y2 = -0.5 * (rep.e - rep.f)
+    Y3 = 0.5j * rep.h
+    r = Rotation.from_matrix(k).as_rotvec()
+    return expm(-r[0] * Y3 + r[1] * Y2 - r[2] * Y1)
+
+
+def rotation_about(axis, theta):
+    """Rotation by theta about a coordinate axis, right-handed."""
+    c, s = np.cos(theta), np.sin(theta)
+    a, b = [i for i in range(3) if i != axis]
+    m = np.eye(3)
+    m[a, a] = m[b, b] = c
+    m[a, b], m[b, a] = -s, s
+    return m
 
 
 class TestCover:
@@ -109,14 +133,37 @@ class TestRepresentation:
                                     for j in range(ell + 1)])
                 assert np.max(np.abs(pm - expected)) < 1e-9
 
+    def test_matches_exponential_oracle(self):
+        # seeded Haar rotations, rotations near the identity, and rotations
+        # by pi - 1e-6 about each axis, so that each of the four branches
+        # of the quaternion (the trace, or one diagonal entry, largest) runs
+        rng = np.random.default_rng(2024)
+        near = [rotation_about(a, t) for a in range(3) for t in (1e-9, -1e-5)]
+        half_turns = [rotation_about(a, np.pi - 1e-6) for a in range(3)]
+        ks = ([random_rotation(rng, 3) for _ in range(40)] + near
+              + half_turns + [np.eye(3)])
+        branches = {int(np.argmax([np.trace(k), *np.diag(k)])) for k in ks}
+        assert branches == {0, 1, 2, 3}
+        for ell in (*range(1, 7), 12):
+            rep = geo.RepSO3(ell)
+            for k in ks:
+                diff = geo.rep_exp(rep, k) - oracle_rep_exp(rep, k)
+                assert np.max(np.abs(diff)) < 1e-12, (ell, k)
+
     def test_homomorphism(self, rng):
-        rep = geo.RepSO3(2)
-        for _ in range(10):
-            k1 = random_rotation(rng, 3)
-            k2 = random_rotation(rng, 3)
-            lhs = geo.rep_exp(rep, k1 @ k2)
-            rhs = geo.rep_exp(rep, k1) @ geo.rep_exp(rep, k2)
-            assert np.max(np.abs(lhs - rhs)) < 1e-8
+        # pi_ell is a representation of SU(2); for odd ell it is one of
+        # SO(3) only up to the sign of the lift
+        for ell in (1, 2, 3):
+            rep = geo.RepSO3(ell)
+            for _ in range(10):
+                k1 = random_rotation(rng, 3)
+                k2 = random_rotation(rng, 3)
+                lhs = geo.rep_exp(rep, k1 @ k2)
+                rhs = geo.rep_exp(rep, k1) @ geo.rep_exp(rep, k2)
+                err = np.max(np.abs(lhs - rhs))
+                if ell % 2:
+                    err = min(err, np.max(np.abs(lhs + rhs)))
+                assert err < 1e-8
 
     def test_unitary(self, rng):
         for ell in (1, 2, 4):

@@ -7,7 +7,27 @@ import pytest
 
 from sphmop.gaussian import GaussianRational
 from sphmop.polynomials import Polynomial
-from sphmop.hypergeometric import hyp_terminating, hahn_value, racah_value
+from sphmop.hypergeometric import (hyp_terminating, hahn_value, racah_value,
+                                   series_coefficients)
+
+
+def rising(a, m):
+    """The Pochhammer symbol (a)_m."""
+    return prod((a + i for i in range(m)), start=Fraction(1))
+
+
+def explicit_sum(numerator, denominator, z):
+    """sum_m c_m z^m over GaussianRational with c_m = prod (a)_m /
+    (prod (b)_m m!), each term built on its own, up to the first zero
+    numerator Pochhammer symbol."""
+    n = min(-a for a in numerator if a <= 0 and Fraction(a).denominator == 1)
+    total = GaussianRational(0)
+    for m in range(n + 1):
+        c = prod((rising(a, m) for a in numerator), start=Fraction(1)) / (
+            prod((rising(b, m) for b in denominator), start=Fraction(1))
+            * factorial(m))
+        total = total + GaussianRational(c) * z ** m
+    return total
 
 
 def gegenbauer(n, lam):
@@ -55,15 +75,39 @@ class TestTerminatingSeries:
         assert hyp_terminating([0, 5, -3], [2], GaussianRational(7)) \
             == GaussianRational(1)
 
+    def test_matches_explicit_sum(self):
+        # the integer Horner sum against the term-by-term sum, at a point
+        # with an imaginary part and at the float 0.1 taken exactly, whose
+        # denominator is a power of 2
+        params = [([-5, 9], [Fraction(7, 2)]), ([-4, Fraction(1, 3), 2],
+                                                 [Fraction(5, 2), 7]),
+                  ([-7, -3, 6], [1, Fraction(-9, 2)]), ([0, 4], [3])]
+        points = [GaussianRational(Fraction(1, 3), Fraction(2, 3)),
+                  GaussianRational(Fraction(0.1)), GaussianRational(-2)]
+        for numerator, denominator in params:
+            for z in points:
+                assert hyp_terminating(numerator, denominator, z) \
+                    == explicit_sum(numerator, denominator, z)
+
+    def test_repeat_call_is_a_cache_hit(self):
+        hyp_terminating([-6, 11], [Fraction(9, 2)], Fraction(1, 7))
+        before = series_coefficients.cache_info()
+        hyp_terminating([-6, 11], [Fraction(9, 2)], GaussianRational(0, 3))
+        after = series_coefficients.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
     def test_rejects_nonterminating(self):
-        with pytest.raises(ValueError):
-            hyp_terminating([1, 2], [3], GaussianRational(1))
+        # an error is not cached: the second call raises as the first did
+        for _ in range(2):
+            with pytest.raises(ValueError, match="does not terminate"):
+                hyp_terminating([1, 2], [3], GaussianRational(1))
 
     def test_rejects_bad_denominator(self):
         # denominator parameter -1 hits zero at the m=1 term while the
         # series runs to m=3
-        with pytest.raises(ValueError):
-            hyp_terminating([-3, 2], [-1], GaussianRational(1))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="hits zero"):
+                hyp_terminating([-3, 2], [-1], GaussianRational(1))
 
     def test_rejects_float_parameter(self):
         # a float is never coerced to a rational, however exact it looks
