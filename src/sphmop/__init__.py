@@ -11,8 +11,7 @@ from .family import (CoefficientVector, FamilyPackage, coeffs_by_recursion,
                      coeffs_by_racah, build_Pw, build_family, eval_H)
 from .operators import (MatrixODEOperator, build_operator, apply, conjugate,
                         commutator_check)
-from .orthogonality import (WeightMatrix, build_weight, chebyshev_moment,
-                            inner_product, symmetry_check, ldu_decompose,
-                            commutant)
+from .orthogonality import (build_weight, chebyshev_moment, symmetry_check,
+                            ldu_decompose, commutant)
 
 __version__ = "0.1.0"

@@ -12,16 +12,16 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 from .gaussian import GaussianRational, ZERO, format_gaussian
 from .polynomials import MatrixPolynomial, mismatch
 from .structure import build_structures, eigen_ledger
 from .family import build_family, coeffs_by_recursion, coeffs_by_racah
 from .operators import (build_operator, apply, conjugate, commutator_check)
-from .orthogonality import (build_weight, inner_product, symmetry_check,
-                            ldu_decompose, commutant,
-                            block_offdiagonal_is_zero, weighted_image,
-                            inner_product_against_image)
+from .orthogonality import (build_weight, symmetry_check, ldu_decompose,
+                            commutant, block_offdiagonal_is_zero,
+                            weighted_image, inner_product_against_image)
 
 
 def poly_to_json(p):
@@ -168,13 +168,20 @@ def verify_rows(ell: int, wmax: int):
                 members + applied["Dtilde"] + applied["Etilde"])
     images = weighted_image(members, W, depth)
     zero = MatrixPolynomial.zeros(n, n)
+    # <Pt_w, Pt_w> = diag_k (dim K-type)^2 / dim tau, tau the SO(4) irrep
+    # with (m1-m2+1)(m1+m2+1) = (w+k+1)(w+ell-k+1): the only check of the
+    # scale of each column of Pt_w, which every other row leaves free
+    norms = [MatrixPolynomial.diagonal(
+        [Fraction(n * n, (w + k + 1) * (w + ell - k + 1)) for k in range(n)])
+        for w in ws]
     off = diag = None
     for w1, row in enumerate(inner_product_against_image(members, images)):
         for w2, G in enumerate(row):
             if w1 != w2:
                 off = off or mismatch(G, zero, f"w={w1} w'={w2} ")
             else:
-                diag = diag or _diagonal_invertible(G, f"w={w1} ")
+                diag = diag or (_diagonal_invertible(G, f"w={w1} ")
+                                or mismatch(G, norms[w1], f"w={w1} "))
     yield ("<Pt_w, Pt_w'> = 0 for w != w'", off)
     yield ("<Pt_w, Pt_w> diagonal and invertible", diag)
     # column k of U diag(1, 0, ..., 0) P_w(1) is H_{w,k}(1), which must be
@@ -190,9 +197,9 @@ def verify_rows(ell: int, wmax: int):
                         ("Etilde symmetric on the family", "Etilde")):
         yield (label, symmetry_check(
             inner_product_against_image(applied[name], images)))
-    L, Dg, Uf = ldu_decompose(W)
+    L, Dg, Uf = ldu_decompose(ell)
     yield ("LDU reassembly equals the weight polynomial part",
-           mismatch(L * Dg * Uf, W.poly_part))
+           mismatch(L * Dg * Uf, W))
     # the commutant is span{I, J}, J the reversal: dimension 2 for ell >= 1
     dim, basis, reduction = commutant(W)
     expected = 1 if ell == 0 else 2
@@ -221,9 +228,10 @@ def _cmd_verify(args):
 
 def _cmd_gram(args):
     fam = build_family(args.ell, args.wmax)
-    W = build_weight(args.ell)
-    grams = [inner_product(fam.PwTilde[w], fam.PwTilde[w], W)
-             for w in range(args.wmax + 1)]
+    members = [fam.PwTilde[w] for w in range(args.wmax + 1)]
+    images = weighted_image(members, build_weight(args.ell), args.wmax)
+    grams = [inner_product_against_image([Pt], [Y])[0][0]
+             for Pt, Y in zip(members, images)]
     if args.csv:
         for w, G in enumerate(grams):
             sys.stdout.write(f"# w={w}\n")
@@ -245,7 +253,7 @@ def _cmd_weight(args):
     samples = []
     for u in us:
         pref = (2.0 / math.pi) * math.sqrt(max(0.0, 1.0 - u * u))
-        vals = W.poly_part.evaluate(u)
+        vals = W.evaluate(u)
         samples.append({
             "u": u,
             "W": [[[pref * v.real, pref * v.imag] for v in row]

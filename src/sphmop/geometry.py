@@ -77,21 +77,14 @@ def wedge_cover(g) -> tuple[np.ndarray, np.ndarray]:
 
 
 class RepSO3:
-    """The (ell+1)-dimensional irreducible representation of SO(3) via its
-    complexified Lie algebra sl(2)."""
+    """The (ell+1)-dimensional irreducible representation of SO(3), in the
+    basis C(ell, j) x^(ell-j) y^j of degree-ell binary forms; rep_exp
+    evaluates it."""
 
     def __init__(self, ell: int):
         if ell < 0:
             raise ValueError("ell must be nonnegative")
         self.ell = ell
-        n = ell + 1
-        self.h = np.diag([float(ell - 2 * j) for j in range(n)]).astype(complex)
-        self.e = np.zeros((n, n), dtype=complex)
-        self.f = np.zeros((n, n), dtype=complex)
-        for j in range(1, n):
-            self.e[j - 1, j] = ell - j + 1
-        for j in range(n - 1):
-            self.f[j + 1, j] = j + 1
 
 
 def _quaternion(k: np.ndarray) -> list:
@@ -124,7 +117,8 @@ def rep_exp(rep: RepSO3, k: np.ndarray) -> np.ndarray:
     U = [[w - ix, -y + iz], [y + iz, w + ix]] is pi_1(k) in RepSO3's basis:
     it is exp(-r1 Y3 + r2 Y2 - r3 Y1) for the rotation vector r of k, with
     the rotation generators Y1 = -i(e + f)/2, Y2 = -(e - f)/2, Y3 = ih/2
-    (checked against that exponential in the tests).  Taking w >= 0 lifts k
+    of the sl(2) triple e, f, h on that basis (the tests build the triple
+    and check against that exponential).  Taking w >= 0 lifts k
     as the rotation vector with |r| <= pi does, which fixes the sign of
     pi_ell(k) for odd ell.  pi_ell(k) is the ell-th symmetric power of U in
     the basis C(ell, j) x^(ell-j) y^j: with U = [[a, b], [c, d]], column j

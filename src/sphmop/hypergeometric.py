@@ -19,7 +19,7 @@ from .gaussian import GaussianRational, as_fraction, integer_horner
 def series_coefficients(numerator: tuple, denominator: tuple):
     """The coefficients of the terminating pFq(numerator; denominator; z)
     as integer numerators p_0 .. p_n over one common denominator D, for
-    tuples of Fraction parameters.
+    tuples of int or Fraction parameters.
 
     The series must terminate through a nonpositive integer numerator
     parameter, and no denominator parameter may hit zero before it does
@@ -51,14 +51,19 @@ def series_coefficients(numerator: tuple, denominator: tuple):
 def hyp_terminating(numerator, denominator, z):
     """Sum the terminating pFq(numerator; denominator; z) exactly.
 
-    The parameters are rationals (TypeError otherwise), with the conditions
-    of series_coefficients, which builds the integer series once per
-    parameter set.  The argument z is a scalar, a GaussianRational or a
+    The parameters are ints or Fractions, with the conditions of
+    series_coefficients, which builds the integer series once per parameter
+    set, keyed on the parameters as given.  Anything else raises TypeError
+    before the lookup, since a float such as 1.0 would hit the entry of the
+    equal int.  The argument z is a scalar, a GaussianRational or a
     rational, and the value is a GaussianRational: Horner's rule in z runs
     on Gaussian integers and reduces once (gaussian.integer_horner).
     """
-    p, D = series_coefficients(tuple(as_fraction(a) for a in numerator),
-                               tuple(as_fraction(b) for b in denominator))
+    numerator, denominator = tuple(numerator), tuple(denominator)
+    for a in numerator + denominator:
+        if not isinstance(a, (int, Fraction)):
+            as_fraction(a)   # raises the exact layers' TypeError
+    p, D = series_coefficients(numerator, denominator)
     return integer_horner(p, D, z)
 
 

@@ -3,7 +3,7 @@ symmetry, LDU decomposition, and commutant analysis.
 
 The measure is (2/pi) sqrt(1-u^2) du on [-1, 1]; its moments are rational,
 so inner products are exact finite sums over the weight's constant moment
-matrices M_m = integral of u^m poly_part(u) against the measure.
+matrices M_m = integral of u^m W(u) against the measure.
 """
 
 from __future__ import annotations
@@ -20,19 +20,6 @@ from .family import build_Pw
 from . import exact_linalg
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Polynomial part of the weight; the scalar prefactor
-    (2/pi) sqrt(1-u^2) is carried by the moments (weighted_image).
-
-    poly_part = Psi* diag(c_j (1-u^2)^j) Psi with the constants c_j from
-    the diagonal matrix U*U; it is Hermitian as a polynomial matrix.
-    """
-
-    ell: int
-    poly_part: MatrixPolynomial
-
-
 def _weight_diagonal(ell: int):
     """The entries c_j (1-u^2)^j of the diagonal middle factor of the
     weight, with c_j the diagonal of U*U."""
@@ -47,11 +34,14 @@ def _weight_diagonal(ell: int):
 
 
 @lru_cache(maxsize=None)
-def build_weight(ell: int) -> WeightMatrix:
+def build_weight(ell: int) -> MatrixPolynomial:
+    """The polynomial part W = Psi* diag(c_j (1-u^2)^j) Psi of the weight,
+    with the constants c_j from the diagonal matrix U*U; it is Hermitian as
+    a polynomial matrix.  The scalar prefactor (2/pi) sqrt(1-u^2) is
+    carried by the moments (weighted_image)."""
     Psi = build_Pw(ell, 0)
     mid = MatrixPolynomial.diagonal(_weight_diagonal(ell))
-    poly_part = Psi.conjugate_transpose() * mid * Psi
-    return WeightMatrix(ell=ell, poly_part=poly_part)
+    return Psi.conjugate_transpose() * mid * Psi
 
 
 def chebyshev_moment(m: int) -> Fraction:
@@ -69,16 +59,17 @@ def chebyshev_moment(m: int) -> Fraction:
     return Fraction(factorial(2 * t), 4 ** t * factorial(t) * factorial(t + 1))
 
 
-def weighted_image(members, W: WeightMatrix, depth: int):
+def weighted_image(members, W: MatrixPolynomial, depth: int):
     """Image a of the members F_a stacks Y_j = sum_c M_{c+j} (F_a)_c in rows
     j*n .. (j+1)*n - 1, j <= depth, with (F_a)_c the coefficient matrices of
     F_a and M_m = sum_k W_k mu_{m+k} the weight's moment matrices (W_k those
-    of poly_part, mu = chebyshev_moment), built once for all members; then
-    <F_a, G> = sum_j G_j* Y_j whenever deg G <= depth."""
-    P, n = W.poly_part, W.poly_part.cols
+    of W, mu = chebyshev_moment), built once for all members; then
+    <F_a, G> = integral of G* W F_a = sum_j G_j* Y_j whenever
+    deg G <= depth (the second argument is the conjugated one)."""
+    n = W.cols
     tops = [F.degree() or 0 for F in members]
     top = max(tops, default=0)
-    Ws = [P.coefficient_matrix(k) for k in range((P.degree() or 0) + 1)]
+    Ws = [W.coefficient_matrix(k) for k in range((W.degree() or 0) + 1)]
     mu = [chebyshev_moment(m) for m in range(top + depth + len(Ws))]
     M = [[[sum((Wk[i][j] * mu[m + k] for k, Wk in enumerate(Ws)
                 if mu[m + k]), ZERO) for j in range(n)] for i in range(n)]
@@ -109,34 +100,22 @@ def inner_product_against_image(partners, images):
              for Gs in adjoints] for Y in images]
 
 
-def inner_product(F: MatrixPolynomial, G: MatrixPolynomial,
-                  W: WeightMatrix) -> MatrixPolynomial:
-    """The matrix inner product <F, G> = integral of G* W F, exact.
-
-    Note the convention: the SECOND argument is conjugated.  The result is
-    a constant matrix returned as a MatrixPolynomial.
-    """
-    return inner_product_against_image(
-        [G], weighted_image([F], W, G.degree() or 0))[0][0]
-
-
 def symmetry_check(T):
     """None when T[a][b] = T[b][a]* for all a, b, else a witness naming the
     first pair and entry where it fails.  For T[a][b] = <F_a, op F_b> this is
-    <op F_a, F_b> = <F_a, op F_b>, as poly_part is Hermitian."""
+    <op F_a, F_b> = <F_a, op F_b>, as the weight is Hermitian."""
     return next(filter(None, (
         mismatch(T[a][b], T[b][a].conjugate_transpose(), f"w={a} w'={b} ")
         for a in range(len(T)) for b in range(a + 1))), None)
 
 
-def ldu_decompose(W: WeightMatrix):
-    """Split poly_part as L Dg Uf with L lower unit-triangular, Uf upper
-    unit-triangular, and Dg diagonal.
+def ldu_decompose(ell: int):
+    """Split the weight build_weight(ell) as L Dg Uf with L lower
+    unit-triangular, Uf upper unit-triangular, and Dg diagonal.
 
     Writing Psi = Delta PsiHat with Delta the constant diagonal of Psi gives
     L = PsiHat*, Uf = PsiHat, and Dg = diag(|Psi_jj|^2 c_j (1-u^2)^j).
     """
-    ell = W.ell
     Psi = build_Pw(ell, 0)
     delta = []
     for j in range(ell + 1):
@@ -161,18 +140,17 @@ class Reduction:
     block_sizes: tuple
 
 
-def commutant(W: WeightMatrix):
-    """Constant matrices commuting with poly_part(u) for every u: one loop
-    cuts all of M_n down to the commutant of each coefficient matrix W_m of
-    poly_part in turn, leading coefficient first.
+def commutant(W: MatrixPolynomial):
+    """Constant matrices commuting with W(u) for every u: one loop cuts all
+    of M_n down to the commutant of each coefficient matrix W_m of W in
+    turn, leading coefficient first.
 
     Returns (dimension, basis, reduction) where reduction holds an exact
     block-diagonalizing matrix R when it is two (columns are eigenvectors
     of a self-adjoint non-scalar commutant element), and is None otherwise.
     """
-    n = W.ell + 1
-    P = W.poly_part
-    deg = P.degree() or 0
+    n = W.rows
+    deg = W.degree() or 0
 
     def unvec(v):
         return [v[i * n:(i + 1) * n] for i in range(n)]
@@ -184,7 +162,7 @@ def commutant(W: WeightMatrix):
     for m in reversed(range(deg + 1)):
         if len(basis) <= 1:
             break
-        Wm = P.coefficient_matrix(m)
+        Wm = W.coefficient_matrix(m)
         brackets = []
         for v in basis:
             BW = exact_linalg.mat_mul(unvec(v), Wm)
@@ -249,12 +227,12 @@ def commutant(W: WeightMatrix):
     return dim, basis, Reduction(R=R, block_sizes=tuple(block_sizes))
 
 
-def block_offdiagonal_is_zero(W: WeightMatrix, R: MatrixPolynomial,
+def block_offdiagonal_is_zero(W: MatrixPolynomial, R: MatrixPolynomial,
                               block_sizes):
-    """None when R* poly_part R has exact zero off-diagonal blocks for the
-    given partition of the columns, else a witness naming the first nonzero
+    """None when R* W R has exact zero off-diagonal blocks for the given
+    partition of the columns, else a witness naming the first nonzero
     off-diagonal entry."""
-    conj = R.conjugate_transpose() * W.poly_part * R
+    conj = R.conjugate_transpose() * W * R
     block = [b for b, size in enumerate(block_sizes) for _ in range(size)]
     diagonal_blocks = MatrixPolynomial.from_function(
         conj.rows, conj.cols,

@@ -42,14 +42,30 @@ def rotation_z(theta):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+def sl2_triple(ell):
+    """The sl(2) triple e, f, h of the (ell+1)-dimensional irreducible
+    representation in RepSO3's basis: h is diagonal with entries ell - 2j,
+    e raises and f lowers j by one."""
+    n = ell + 1
+    h = np.diag([float(ell - 2 * j) for j in range(n)]).astype(complex)
+    e = np.zeros((n, n), dtype=complex)
+    f = np.zeros((n, n), dtype=complex)
+    for j in range(1, n):
+        e[j - 1, j] = ell - j + 1
+    for j in range(n - 1):
+        f[j + 1, j] = j + 1
+    return e, f, h
+
+
 def oracle_rep_exp(rep, k):
     """pi_ell(k) through the axis-angle factorization of k: the rotation
     vector r of k (|r| <= pi) satisfies k = exp([r]_x), and [r]_x
     corresponds to -r1 Y3 + r2 Y2 - r3 Y1 for the rotation generators
-    below, written through RepSO3's e, f, h."""
-    Y1 = -0.5j * (rep.e + rep.f)
-    Y2 = -0.5 * (rep.e - rep.f)
-    Y3 = 0.5j * rep.h
+    below, written through the sl(2) triple e, f, h."""
+    e, f, h = sl2_triple(rep.ell)
+    Y1 = -0.5j * (e + f)
+    Y2 = -0.5 * (e - f)
+    Y3 = 0.5j * h
     r = Rotation.from_matrix(k).as_rotvec()
     return expm(-r[0] * Y3 + r[1] * Y2 - r[2] * Y1)
 
@@ -117,10 +133,15 @@ class TestCover:
 class TestRepresentation:
     def test_commutation_relations(self):
         for ell in (1, 2, 4):
-            rep = geo.RepSO3(ell)
-            assert np.allclose(rep.h @ rep.e - rep.e @ rep.h, 2 * rep.e)
-            assert np.allclose(rep.h @ rep.f - rep.f @ rep.h, -2 * rep.f)
-            assert np.allclose(rep.e @ rep.f - rep.f @ rep.e, rep.h)
+            e, f, h = sl2_triple(ell)
+            assert np.allclose(h @ e - e @ h, 2 * e)
+            assert np.allclose(h @ f - f @ h, -2 * f)
+            assert np.allclose(e @ f - f @ e, h)
+
+    def test_rejects_negative_ell(self):
+        assert geo.RepSO3(0).ell == 0
+        with pytest.raises(ValueError, match="ell must be nonnegative"):
+            geo.RepSO3(-1)
 
     def test_one_parameter_subgroup_is_diagonal(self):
         # the rotation fixing the first axis acts diagonally with phases

@@ -114,6 +114,24 @@ class TestTerminatingSeries:
         with pytest.raises(TypeError):
             hyp_terminating([-1, 0.5], [1], 1)
 
+    def test_float_parameter_raises_cold_and_warm(self):
+        # the cache is keyed on the parameters as given, and 1.0 == 1 with
+        # the same hash, so the type check must come before any lookup:
+        # a float raises whether or not the equal rational key is cached
+        floats = (([-5, 1.0], [7]), ([-5, 1], [7.0]),
+                  ([-5, 0.5], [7]), ([-5, 1], [3.5]))
+        exact = (([-5, 1], [7]), ([-5, Fraction(1, 2)], [7]),
+                 ([-5, 1], [Fraction(7, 2)]))
+        for warm in (False, True):
+            if warm:
+                for numerator, denominator in exact:
+                    hyp_terminating(numerator, denominator, 1)
+            before = series_coefficients.cache_info()
+            for numerator, denominator in floats:
+                with pytest.raises(TypeError, match="from float"):
+                    hyp_terminating(numerator, denominator, 1)
+            assert series_coefficients.cache_info() == before
+
 
 class TestGegenbauer:
     def test_low_degrees(self):

@@ -10,8 +10,7 @@ from sphmop import cli, exact_linalg
 from sphmop.gaussian import GaussianRational, ZERO, ONE, I
 from sphmop.operators import apply, build_operator, MatrixODEOperator
 from sphmop.polynomials import MatrixPolynomial, Polynomial, mismatch
-from sphmop.orthogonality import (WeightMatrix, build_weight,
-                                  chebyshev_moment, inner_product,
+from sphmop.orthogonality import (build_weight, chebyshev_moment,
                                   inner_product_against_image,
                                   symmetry_check, ldu_decompose, commutant,
                                   block_offdiagonal_is_zero, weighted_image)
@@ -22,11 +21,17 @@ from conftest import (WMAX, edit_result, failing_rows, shift_A0,
 
 def oracle_inner_product(F, G, W):
     """<F, G> the long way, sharing no code with the moment path: form the
-    polynomial matrix G* poly_part F and integrate each entry term by term."""
-    H = G.conjugate_transpose() * W.poly_part * F
+    polynomial matrix G* W F and integrate each entry term by term."""
+    H = G.conjugate_transpose() * W * F
     return MatrixPolynomial(
         [[sum((c * chebyshev_moment(m) for m, c in enumerate(H[i, j].coeffs)),
               ZERO) for j in range(H.cols)] for i in range(H.rows)])
+
+
+def cell(F, G, W):
+    """<F, G> through the tables: one image of F, one adjoint of G."""
+    return inner_product_against_image(
+        [G], weighted_image([F], W, G.degree() or 0))[0][0]
 
 
 class TestChebyshevMoments:
@@ -55,7 +60,7 @@ class TestChebyshevMoments:
 class TestWeight:
     def test_poly_part_hermitian(self, weights):
         for ell, W in weights.items():
-            assert W.poly_part.conjugate_transpose() == W.poly_part
+            assert W.conjugate_transpose() == W
 
     def test_poly_part_positive_definite_samples(self, weights):
         # evaluate gives complex numbers for a float, int, Fraction or
@@ -63,7 +68,7 @@ class TestWeight:
         for ell, W in weights.items():
             for u in (-0.9, -0.4, 0, Fraction(3, 10),
                       GaussianRational(Fraction(4, 5))):
-                vals = W.poly_part.evaluate(u)
+                vals = W.evaluate(u)
                 assert all(type(v) is complex for row in vals for v in row)
                 eigvals = np.linalg.eigvalsh(np.array(vals))
                 assert eigvals.min() > 0
@@ -72,7 +77,7 @@ class TestWeight:
 class TestInnerProduct:
     def test_scalar_case(self, weights):
         one = MatrixPolynomial.identity(1)
-        G = inner_product(one, one, weights[0])
+        G = cell(one, one, weights[0])
         assert G[0, 0].constant_term() == GaussianRational(1)
 
     def test_agrees_with_polynomial_product_oracle(self, families, weights):
@@ -83,7 +88,7 @@ class TestInnerProduct:
             for w1 in range(7):
                 for w2 in range(7):
                     F, G = fam.PwTilde[w1], fam.PwTilde[w2]
-                    block = inner_product(F, G, W)
+                    block = cell(F, G, W)
                     assert block == oracle_inner_product(F, G, W), \
                         (ell, w1, w2)
                     if w1 != w2:
@@ -100,8 +105,8 @@ class TestInnerProduct:
         fam, W = families[2], weights[2]
         uF = fam.PwTilde[3] * Polynomial.variable()
         G = fam.PwTilde[1]
-        assert inner_product(uF, G, W) == oracle_inner_product(uF, G, W)
-        assert inner_product(G, uF, W) == oracle_inner_product(G, uF, W)
+        assert cell(uF, G, W) == oracle_inner_product(uF, G, W)
+        assert cell(G, uF, W) == oracle_inner_product(G, uF, W)
 
     def test_image_depth_guard(self, families, weights):
         # an image of depth d serves partners up to degree d and refuses
@@ -157,17 +162,21 @@ class TestInnerProduct:
     def test_closed_form_squared_norms(self, families, weights):
         # ROADMAP item 15: the diagonal Gram is (dim K-type)^2 / dim tau,
         # tau the SO(4) irrep with (m1-m2+1)(m1+m2+1) = (w+k+1)(w+ell-k+1);
-        # no verify row states it
+        # the diagonal Gram row of verify states it on the all-pairs table,
+        # this oracle on one-cell tables
         for ell, fam in families.items():
             assert norms_against_closed_form(fam, weights[ell], WMAX) is None
 
     def test_closed_form_norms_catch_a_scaled_member(self, monkeypatch,
                                                      weights):
-        # 2 Pt_1 passes every verify row; only the closed form sees it
+        # 2 Pt_1 keeps every other verify row; only the closed form in the
+        # diagonal Gram row sees it
         edit_result(monkeypatch, "build_family", lambda fam, ell, wmax: (
             dataclasses.replace(fam, PwTilde={
                 **fam.PwTilde, 1: fam.PwTilde[1] * 2})))
-        assert failing_rows(2, 1) == {}
+        assert failing_rows(2, 1) == {
+            "<Pt_w, Pt_w> diagonal and invertible":
+                "w=1 entry (0,0): 9/2 != 9/8"}
         assert norms_against_closed_form(cli.build_family(2, 1), weights[2],
                                          1) == "w=1 entry (0,0): 9/2 != 9/8"
 
@@ -177,7 +186,7 @@ def norms_against_closed_form(fam, W, w_max):
     for every w <= w_max, else the first mismatch."""
     ell = fam.ell
     return next(filter(None, (mismatch(
-        inner_product(fam.PwTilde[w], fam.PwTilde[w], W),
+        cell(fam.PwTilde[w], fam.PwTilde[w], W),
         MatrixPolynomial.diagonal([
             Fraction((ell + 1) ** 2, (w + k + 1) * (w + ell - k + 1))
             for k in range(ell + 1)]), f"w={w} ")
@@ -224,7 +233,7 @@ class TestSymmetry:
 
     def test_agrees_with_two_sided_oracle(self, families, weights):
         # symmetry_check reads the table <F_a, op F_b> and relies on
-        # poly_part being Hermitian; the oracle computes both sides of
+        # the weight being Hermitian; the oracle computes both sides of
         # <op F_a, F_b> = <F_a, op F_b> for every ordered pair
         for ell in (1, 2, 4):
             W = weights[ell]
@@ -238,9 +247,9 @@ class TestSymmetry:
                 for op in (base, dataclasses.replace(base,
                                                      A0=base.A0 + corner)):
                     ops = [apply(op, F) for F in members]
-                    lhs = [[inner_product(ops[a], members[b], W)
+                    lhs = [[cell(ops[a], members[b], W)
                             for b in ws] for a in ws]
-                    rhs = [[inner_product(members[a], ops[b], W)
+                    rhs = [[cell(members[a], ops[b], W)
                             for b in ws] for a in ws]
                     first = next(filter(None, (
                         mismatch(rhs[a][b], lhs[a][b], f"w={a} w'={b} ")
@@ -257,7 +266,7 @@ class TestSymmetry:
             fam, W = families[ell], weights[ell]
             for w1 in range(5):
                 for w2 in range(5):
-                    G = inner_product(fam.PwTilde[w1], fam.PwTilde[w2], W)
+                    G = cell(fam.PwTilde[w1], fam.PwTilde[w2], W)
                     for mats in ("lam", "mu"):
                         d1 = MatrixPolynomial.diagonal(
                             [getattr(eigen_ledger(ell, w1, k), mats)
@@ -270,33 +279,35 @@ class TestSymmetry:
 
 class TestLDU:
     def test_scalar_case(self, weights):
-        L, Dg, Uf = ldu_decompose(weights[0])
+        L, Dg, Uf = ldu_decompose(0)
         assert L == MatrixPolynomial.identity(1)
         assert Uf == MatrixPolynomial.identity(1)
-        assert Dg == weights[0].poly_part
+        assert Dg == weights[0]
 
     def test_ell1_diagonal_factors(self, weights):
-        L, Dg, Uf = ldu_decompose(weights[1])
+        L, Dg, Uf = ldu_decompose(1)
         # d0 = c_0 = 2!/1 = 2; d1 = |psi_11|^2 c_1 (1-u^2) with
         # |psi_11|^2 = |-i|^2 = 1 and c_1 = 3! 0!/(3 1! 1!) = 2
         assert Dg[0, 0] == Polynomial([2])
         assert Dg[1, 1] == Polynomial([2, 0, -2])
 
     def test_verify_catches_ldu_fault(self, monkeypatch):
-        edit_result(monkeypatch, "ldu_decompose", lambda ldu, W: (
-            ldu[0], ldu[1] + unit_matrix(W.ell + 1, 0, 0), ldu[2]))
+        edit_result(monkeypatch, "ldu_decompose", lambda ldu, ell: (
+            ldu[0], ldu[1] + unit_matrix(ell + 1, 0, 0), ldu[2]))
         assert failing_rows(2, 1) == {
             "LDU reassembly equals the weight polynomial part":
                 "entry (0,0): 4 != 3"}
 
     def test_verify_catches_weight_fault(self, monkeypatch):
         # u^2 E_00 added to the weight: every row that reads the weight
-        # fails, but the Gram diagonal, which stays diagonal and invertible
+        # fails; the Gram diagonal stays diagonal and invertible, but its
+        # (0,0) entry leaves the closed-form norm
         edit_result(monkeypatch, "build_weight", lambda W, ell: (
-            dataclasses.replace(W, poly_part=W.poly_part + unit_matrix(
-                ell + 1, 0, 0, Polynomial([0, 0, 1])))))
+            W + unit_matrix(ell + 1, 0, 0, Polynomial([0, 0, 1]))))
         assert failing_rows(2, 1) == {
             "<Pt_w, Pt_w'> = 0 for w != w'": "w=0 w'=1 entry (1,0): -1/8 != 0",
+            "<Pt_w, Pt_w> diagonal and invertible":
+                "w=0 entry (0,0): 13/4 != 3",
             "Dtilde symmetric on the family": "w=1 w'=0 entry (0,1): 0 != 1",
             "Etilde symmetric on the family":
                 "w=1 w'=0 entry (0,1): 0 != 1/4",
@@ -308,8 +319,8 @@ class TestLDU:
     def test_reassembly(self, weights):
         for ell in (0, 1, 2, 4):
             W = weights[ell]
-            # L Dg Uf = poly_part is a verify row
-            L, Dg, Uf = ldu_decompose(W)
+            # L Dg Uf = W is a verify row
+            L, Dg, Uf = ldu_decompose(ell)
             n = ell + 1
             for i in range(n):
                 assert L[i, i] == Polynomial([1])
@@ -321,13 +332,12 @@ class TestLDU:
 
 def oracle_commutant_basis(W):
     """The commutant basis from one stacked system: [A, W_m] = 0 for every
-    coefficient W_m of poly_part at once, (deg + 1) n^2 rows in the n^2
-    entries of A (row-major), solved by a single nullspace."""
-    n = W.ell + 1
-    P = W.poly_part
+    coefficient W_m of W at once, (deg + 1) n^2 rows in the n^2 entries
+    of A (row-major), solved by a single nullspace."""
+    n = W.rows
     rows = []
-    for m in range((P.degree() or 0) + 1):
-        Pm = P.coefficient_matrix(m)
+    for m in range((W.degree() or 0) + 1):
+        Pm = W.coefficient_matrix(m)
         for i in range(n):
             for j in range(n):
                 # (A Pm - Pm A)[i, j] = sum_t A[i,t] Pm[t,j] - Pm[i,t] A[t,j]
@@ -402,8 +412,7 @@ class TestCommutant:
         nullspace = exact_linalg.nullspace
         monkeypatch.setattr(exact_linalg, "nullspace",
                             lambda m: calls.append(len(m)) or nullspace(m))
-        for poly_part, dim, systems in cases:
-            W = WeightMatrix(ell=n - 1, poly_part=poly_part)
+        for W, dim, systems in cases:
             oracle = oracle_commutant_basis(W)
             calls.clear()
             result = commutant(W)
@@ -415,7 +424,7 @@ class TestCommutant:
     def test_quadratic_branches(self):
         # [[2, 1], [1, 2]] has eigenvalues 1 and 3, eigenvectors (-1, 1)
         # and (1, 1), taken in ascending order
-        W = WeightMatrix(ell=1, poly_part=MatrixPolynomial([[2, 1], [1, 2]]))
+        W = MatrixPolynomial([[2, 1], [1, 2]])
         dim, basis, red = commutant(W)
         assert dim == 2
         assert red.R == MatrixPolynomial([[-1, 1], [1, 1]])
@@ -424,9 +433,8 @@ class TestCommutant:
         # eigenvalues (1 +- sqrt 5)/2 are not rational, with or without a
         # lower coefficient to intersect first
         W0 = MatrixPolynomial([[1, 1], [1, 0]])
-        for poly_part in (W0, W0 + MatrixPolynomial.identity(2)
-                          * Polynomial.variable()):
-            W = WeightMatrix(ell=1, poly_part=poly_part)
+        for W in (W0, W0 + MatrixPolynomial.identity(2)
+                  * Polynomial.variable()):
             with pytest.raises(ArithmeticError, match="irrational spectrum"):
                 commutant(W)
 
@@ -435,8 +443,7 @@ class TestCommutant:
         # skew part, whose Hermitian part is scalar: the reduction diagonalizes
         # the self-adjoint i(K - K*) instead
         K = MatrixPolynomial([[0, I], [-I, 0]])
-        W = WeightMatrix(ell=1, poly_part=MatrixPolynomial.identity(2)
-                         + K * Polynomial.variable())
+        W = MatrixPolynomial.identity(2) + K * Polynomial.variable()
         dim, basis, red = commutant(W)
         assert dim == 2
         assert red.R == MatrixPolynomial([[I, -I], [ONE, ONE]])
@@ -448,7 +455,7 @@ class TestCommutant:
         # row must fail on the dimension alone
         label = "commutant dimension and block reduction"
         monkeypatch.setattr(cli, "commutant", lambda W: (
-            1, [exact_linalg.mat_identity(W.ell + 1)], None))
+            1, [exact_linalg.mat_identity(W.rows)], None))
         assert verify_row(4, 1, label) == "dimension 1 != 2"
         assert verify_row(0, 1, label) is None
 
@@ -458,7 +465,7 @@ class TestCommutant:
         def unreduced(W):
             dim, basis, red = commutant(W)
             return dim, basis, dataclasses.replace(
-                red, R=MatrixPolynomial.identity(W.ell + 1))
+                red, R=MatrixPolynomial.identity(W.rows))
 
         monkeypatch.setattr(cli, "commutant", unreduced)
         assert failing_rows(2, 1) == {
@@ -474,7 +481,7 @@ class TestCommutant:
     def test_basis_members_commute_with_weight(self, weights):
         for ell in (2, 4):
             dim, basis, _ = commutant(weights[ell])
-            W = weights[ell].poly_part
+            W = weights[ell]
             for mat in basis:
                 A = MatrixPolynomial(mat)
                 assert A * W == W * A
