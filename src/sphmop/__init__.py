@@ -7,8 +7,8 @@ from .polynomials import (Polynomial, MatrixPolynomial,
 from .hypergeometric import hyp_terminating, hahn_value, racah_value
 from .structure import (StructureSet, build_structures, build_L, EigenLedger,
                         eigen_ledger)
-from .family import (CoefficientVector, FamilyPackage, coeffs_by_recursion,
-                     coeffs_by_racah, build_Pw, build_family, eval_H)
+from .family import (FamilyPackage, coeffs_by_recursion, coeffs_by_racah,
+                     build_Pw, build_family, eval_H)
 from .operators import (MatrixODEOperator, build_operator, apply, conjugate,
                         commutator_check)
 from .orthogonality import (build_weight, chebyshev_moment, symmetry_check,

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -117,10 +118,10 @@ def verify_rows(ell: int, wmax: int):
     racah = tail = None
     for w in ws:
         for k in range(n):
-            a = coeffs_by_recursion(ell, w, k).a
+            a = coeffs_by_recursion(ell, w, k)
             where = f"w={w} k={k} "
             racah = racah or mismatch(
-                _column(a), _column(coeffs_by_racah(ell, w, k).a), where)
+                _column(a), _column(coeffs_by_racah(ell, w, k)), where)
             tail = tail or mismatch(
                 _column(a),
                 _column(x if j <= w + k else ZERO for j, x in enumerate(a)),
@@ -383,8 +384,17 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse reads a token that starts with '-' as an option unless it is
+    # one plain negative number: pass `--theta -1e-3` on as `--theta=-1e-3`
+    tokens = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens[-1:] in (["--sample"], ["--theta"]) \
+                and re.match(r"-\.?\d", token):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(tokens)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize others
         return 2 if exc.code not in (0,) else 0

@@ -21,28 +21,17 @@ from .hypergeometric import hyp_terminating, racah_value
 from .structure import build_L, build_structures, eigen_ledger
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """The ell+1 leading constants a_j of one package column."""
-
-    ell: int
-    w: int
-    k: int
-    a: tuple
-
-
 @lru_cache(maxsize=None)
-def coeffs_by_recursion(ell: int, w: int, k: int) -> CoefficientVector:
-    """Solve the three-term recursion forward from a_0 = 1.
+def coeffs_by_recursion(ell: int, w: int, k: int) -> tuple:
+    """The leading constants (a_0, ..., a_ell) of one package column, by
+    solving the three-term recursion forward from a_0 = 1.
 
     The recursion is the eigenvector equation L(lambda) a = mu a read row by
     row; the superdiagonal coefficient -i(j+1)(ell+j+2)/2 never vanishes, so
     each row determines the next entry.  The last row is a closing relation
     with no new unknown; it is asserted, not solved.  Cached per
-    (ell, w, k); the frozen vector is shared by every caller.
+    (ell, w, k); the immutable tuple is shared by every caller.
     """
-    if w < 0 or not 0 <= k <= ell:
-        raise ValueError("need w >= 0 and 0 <= k <= ell")
     ledger = eigen_ledger(ell, w, k)
     mu = GaussianRational(ledger.mu)
     L = build_L(ell, n=w + k)
@@ -60,11 +49,11 @@ def coeffs_by_recursion(ell: int, w: int, k: int) -> CoefficientVector:
         raise ArithmeticError(
             f"closing equation violated for (ell={ell}, w={w}, k={k})"
         )
-    return CoefficientVector(ell=ell, w=w, k=k, a=tuple(a))
+    return tuple(a)
 
 
-def coeffs_by_racah(ell: int, w: int, k: int) -> CoefficientVector:
-    """Closed form for the a-vector via a Racah polynomial value."""
+def coeffs_by_racah(ell: int, w: int, k: int) -> tuple:
+    """Closed form for (a_0, ..., a_ell) via a Racah polynomial value."""
     if w < 0 or not 0 <= k <= ell:
         raise ValueError("need w >= 0 and 0 <= k <= ell")
     out = []
@@ -81,7 +70,7 @@ def coeffs_by_racah(ell: int, w: int, k: int) -> CoefficientVector:
                                              comb(ell + j + 1, j))))
         r = racah_value(k, j, -ell - 1, -w - k - 1, 0, 0, ell)
         out.append(scale * r)
-    return CoefficientVector(ell=ell, w=w, k=k, a=tuple(out))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -104,7 +93,7 @@ def normalised_gegenbauer(lam: int, m: int) -> Polynomial:
 def build_Pw(ell: int, w: int) -> MatrixPolynomial:
     """The package P_w: entry (j, k) is a_j * normalised_gegenbauer(j+1,
     w+k-j), and zero where a_j is, as on the whole tail j > w+k."""
-    cols = [coeffs_by_recursion(ell, w, k).a for k in range(ell + 1)]
+    cols = [coeffs_by_recursion(ell, w, k) for k in range(ell + 1)]
     return MatrixPolynomial.from_function(
         ell + 1, ell + 1,
         lambda j, k: (Polynomial.zero() if cols[k][j].is_zero() else
@@ -153,7 +142,7 @@ def eval_H(ell: int, w: int, k: int, u: float):
     u = float(u)
     if not -1.0 <= u <= 1.0:
         raise ValueError("u must lie in [-1, 1]")
-    a = coeffs_by_recursion(ell, w, k).a
+    a = coeffs_by_recursion(ell, w, k)
     z = (1 - Fraction(u)) / 2
     p = [complex(x * hyp_terminating([j - w - k, w + k + j + 2],
                                      [Fraction(2 * j + 3, 2)], z))

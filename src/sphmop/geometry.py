@@ -18,8 +18,9 @@ import numpy as np
 
 from .family import eval_H
 
-# ordered basis of the second exterior power of R^4
+# ordered basis e_K[a] ^ e_L[a] of the second exterior power of R^4
 _PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+_K, _L = np.array(_PAIRS).T
 
 # columns: the orthonormal eigenbasis splitting the exterior square into the
 # two 3-dimensional invariant subspaces (self-dual and anti-self-dual); the
@@ -57,19 +58,14 @@ def check_rotation(g, n: int) -> np.ndarray:
     return g
 
 
-def wedge_action(g: np.ndarray) -> np.ndarray:
-    """The induced action of g on the exterior square, in the pair basis."""
-    q = np.empty((6, 6))
-    for a, (k, l) in enumerate(_PAIRS):
-        for b, (i, j) in enumerate(_PAIRS):
-            q[a, b] = g[k, i] * g[l, j] - g[l, i] * g[k, j]
-    return q
-
-
 def wedge_cover(g) -> tuple[np.ndarray, np.ndarray]:
     """The double cover map: g in SO(4) to the pair (a, b) in
-    SO(3) x SO(3), with kernel {I, -I}."""
-    q6 = _BASIS.T @ wedge_action(check_rotation(g, 4)) @ _BASIS
+    SO(3) x SO(3), with kernel {I, -I}.  The action of g on the exterior
+    square, in the pair basis, is the 2 x 2 minors of g on rows and columns
+    (K, L); _BASIS splits it into a and b."""
+    g = check_rotation(g, 4)
+    gK, gL = g[_K], g[_L]
+    q6 = _BASIS.T @ (gK[:, _K] * gL[:, _L] - gL[:, _K] * gK[:, _L]) @ _BASIS
     if max(np.max(np.abs(q6[:3, 3:])), np.max(np.abs(q6[3:, :3]))) > _TOL:
         raise ValueError("off-diagonal blocks do not vanish; input is not "
                          "a rotation within tolerance")

@@ -33,7 +33,7 @@ def test_verify_rows_hold(ell):
 def test_criterion_2_coefficient_layer():
     # named w = 0 example: a^{0,2} = (1, -2i, -2/3) whenever ell >= 2
     for ell in (2, 4, 6):
-        assert coeffs_by_recursion(ell, 0, 2).a[:3] == (
+        assert coeffs_by_recursion(ell, 0, 2)[:3] == (
             ONE, GaussianRational(0, -2), GaussianRational(Fraction(-2, 3)))
 
 

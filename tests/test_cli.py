@@ -314,6 +314,20 @@ class TestOutputFormats:
         assert np.max(np.abs(first[..., 0] - np.eye(3))) < 1e-9
         assert np.max(np.abs(first[..., 1])) < 1e-9
 
+    @pytest.mark.parametrize("argv", [
+        ("weight", "--ell", "2", "--sample", "-0.5,0.3"),
+        ("reconstruct", "--ell", "2", "--w", "1", "--k", "1",
+         "--theta", "-0.5,0.3"),
+        ("reconstruct", "--ell", "2", "--w", "1", "--k", "1",
+         "--theta", "-1e-3"),
+    ])
+    def test_negative_list_needs_no_equals(self, capsys, argv):
+        # argparse alone reads these values as unknown options
+        *head, option, value = argv
+        attached = run(capsys, *head, f"{option}={value}")
+        assert attached[0] == 0 and json.loads(attached[1])
+        assert run(capsys, *argv) == attached
+
     def test_cover_valid_rotation(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(json.dumps(np.eye(4).tolist()))

@@ -3,7 +3,6 @@
 from fractions import Fraction
 from math import factorial
 
-import dataclasses
 import math
 import random
 import sys
@@ -36,23 +35,23 @@ def psi_entry_reference(ell: int, j: int, k: int) -> Polynomial:
 
 class TestCoefficients:
     def test_w0_k1_example(self):
-        assert coeffs_by_recursion(2, 0, 1).a == (ONE, -I, ZERO)
+        assert coeffs_by_recursion(2, 0, 1) == (ONE, -I, ZERO)
 
     def test_k0_column(self):
         # at k = 0 the j = 0 recursion row reads -i(ell+2)/2 a_1 = mu a_0
         # with mu = w*ell/2, so a_1 = i*w*ell/(ell+2); the vector is e0
         # only for w = 0 (or ell = 0)
         for ell in (1, 2, 4):
-            a = coeffs_by_recursion(ell, 0, 0).a
+            a = coeffs_by_recursion(ell, 0, 0)
             assert a[0] == ONE and all(x.is_zero() for x in a[1:])
             for w in range(1, 4):
-                a = coeffs_by_recursion(ell, w, 0).a
+                a = coeffs_by_recursion(ell, w, 0)
                 assert a[0] == ONE
                 assert a[1] == GaussianRational(0, Fraction(w * ell,
                                                             ell + 2))
 
     def test_w0_k2_example(self):
-        a = coeffs_by_recursion(2, 0, 2).a
+        a = coeffs_by_recursion(2, 0, 2)
         assert a == (ONE, GaussianRational(0, -2),
                      GaussianRational(Fraction(-2, 3)))
 
@@ -61,7 +60,7 @@ class TestCoefficients:
         from math import factorial, perm
         for ell in (1, 2, 4, 6):
             for k in range(ell + 1):
-                a = coeffs_by_recursion(ell, 0, k).a
+                a = coeffs_by_recursion(ell, 0, k)
                 for j in range(ell + 1):
                     expected = (GaussianRational(0, 2) ** j
                                 * GaussianRational((-1) ** j * perm(k, j))
@@ -77,14 +76,8 @@ class TestCoefficients:
 
     def test_verify_catches_racah_fault(self, monkeypatch):
         # a_1 doubled in one closed-form vector fails only the Racah row
-        def doubled(cv, ell, w, k):
-            if (w, k) != (1, 1):
-                return cv
-            a = list(cv.a)
-            a[1] = a[1] * 2
-            return dataclasses.replace(cv, a=tuple(a))
-
-        edit_result(monkeypatch, "coeffs_by_racah", doubled)
+        edit_result(monkeypatch, "coeffs_by_racah", lambda a, ell, w, k: (
+            a[:1] + (a[1] * 2,) + a[2:] if (w, k) == (1, 1) else a))
         assert failing_rows(2, 1) == {
             "coefficient recursion = Racah closed form":
                 "w=1 k=1 entry (1,0): -1*i != -2*i"}
@@ -100,7 +93,7 @@ class TestCoefficients:
                 for k in range(ell + 1):
                     led = eigen_ledger(ell, w, k)
                     L = build_L(ell, n=w + k)
-                    a = list(coeffs_by_recursion(ell, w, k).a)
+                    a = coeffs_by_recursion(ell, w, k)
                     mu = GaussianRational(led.mu)
                     for r in range(ell + 1):
                         row = sum((L[r][c] * a[c] for c in range(ell + 1)),
@@ -142,7 +135,7 @@ class TestPackages:
             for w in range(WMAX + 1):
                 P = build_Pw(ell, w)
                 for k in range(ell + 1):
-                    a = coeffs_by_racah(ell, w, k).a
+                    a = coeffs_by_racah(ell, w, k)
                     for j in range(ell + 1):
                         if j > w + k:
                             assert P[j, k].is_zero()
@@ -227,11 +220,10 @@ class TestEvalH:
     def test_matches_exact_evaluation(self, families):
         # each entry of P_w[:, k] at the float u taken exactly, rounded
         # once: the same float combination U diag(t) p as eval_H, with p
-        # from the exact polynomials of build_Pw
+        # from the exact polynomials of build_Pw, so equal bit for bit
         rng = random.Random(20)
         points = [-1.0, -0.999999, 0.0, 0.5, 0.9999999999, 1.0] + [
             rng.uniform(-1.0, 1.0) for _ in range(4)]
-        worst = 0.0
         for ell in GRID_ELLS:
             U = build_structures(ell).U.constant_value()
             n = ell + 1
@@ -243,9 +235,7 @@ class TestEvalH:
                         t = [(1.0 - u * u) ** (j / 2.0) for j in range(n)]
                         ref = [sum(complex(U[r][j]) * t[j] * p[j]
                                    for j in range(n)) for r in range(n)]
-                        for x, y in zip(eval_H(ell, w, k, u), ref):
-                            worst = max(worst, abs(x - y) / max(1, abs(y)))
-        assert worst <= 1e-14
+                        assert eval_H(ell, w, k, u) == ref, (ell, w, k, u)
 
     def test_repeat_call_rebuilds_nothing(self, monkeypatch):
         # after one call at (ell, w, k), another builds no Polynomial and

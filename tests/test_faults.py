@@ -41,14 +41,8 @@ def Ebar_A2_plus_E01(mp):
 
 def recursion_a2_is_one(mp):
     # a_2 = 1 past the tail at (w, k) = (0, 0)
-    def edit(cv, ell, w, k):
-        if (w, k) != (0, 0):
-            return cv
-        a = list(cv.a)
-        a[2] = ONE
-        return dataclasses.replace(cv, a=tuple(a))
-
-    edit_result(mp, "coeffs_by_recursion", edit)
+    edit_result(mp, "coeffs_by_recursion", lambda a, ell, w, k: (
+        a[:2] + (ONE,) + a[3:] if (w, k) == (0, 0) else a))
 
 
 Pt1_times_u = member_times(1, lambda n: Polynomial.variable())

@@ -113,6 +113,25 @@ class TestCover:
             a, b = geo.wedge_cover(geo.embed_so3(k))
             assert np.max(np.abs(a - k)) < 1e-9
 
+    def test_matches_minor_by_minor_loop(self):
+        # the reference fills the action on the exterior square one 2 x 2
+        # minor at a time; the vectorised minors must agree bit for bit
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+        def reference(g):
+            q = np.empty((6, 6))
+            for a, (k, l) in enumerate(pairs):
+                for b, (i, j) in enumerate(pairs):
+                    q[a, b] = g[k, i] * g[l, j] - g[l, i] * g[k, j]
+            q6 = geo._BASIS.T @ q @ geo._BASIS
+            return q6[:3, :3], q6[3:, 3:]
+
+        rng = np.random.default_rng(500)
+        for _ in range(200):
+            g = random_rotation(rng, 4)
+            for got, want in zip(geo.wedge_cover(g), reference(g)):
+                assert np.array_equal(got, want)
+
     def test_rejects_non_rotation(self):
         with pytest.raises(ValueError):
             geo.wedge_cover(2.0 * np.eye(4))

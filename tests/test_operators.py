@@ -354,7 +354,7 @@ class TestLEigensolve:
         by_mu = {}
         for w, k in ((1, 0), (0, 1)):
             mu = eigen_ledger(2, w, k).mu
-            a = coeffs_by_recursion(2, w, k).a
+            a = coeffs_by_recursion(2, w, k)
             assert exact_linalg.mat_mul(L, [[x] for x in a]) \
                 == [[GaussianRational(mu) * x] for x in a]
             by_mu[mu] = a
