@@ -243,21 +243,33 @@ def _cmd_gram(args):
     return 0
 
 
+def _float_list(text, option, ok, expected):
+    """The comma-separated floats of one option, each passing ok; a
+    ValueError naming the option and the token otherwise."""
+    values = []
+    for t in text.split(","):
+        try:
+            v = float(t)
+        except ValueError:
+            v = None
+        if v is None or not ok(v):
+            raise ValueError(f"{option} value {t!r} is not {expected}")
+        values.append(v)
+    return values
+
+
 def _cmd_weight(args):
-    texts = args.sample.split(",")
-    us = [float(t) for t in texts]
-    for t, u in zip(texts, us):
-        if not -1.0 <= u <= 1.0:
-            raise ValueError(f"--sample value {t!r} is not a number in "
-                             "[-1, 1]")
+    us = _float_list(args.sample, "--sample", lambda u: -1.0 <= u <= 1.0,
+                     "a number in [-1, 1]")
     W = build_weight(args.ell)
     samples = []
     for u in us:
         pref = (2.0 / math.pi) * math.sqrt(max(0.0, 1.0 - u * u))
-        vals = W.evaluate(u)
+        # W at the float u taken exactly, each entry rounded once
+        vals = W.evaluate_exact(Fraction(u))
         samples.append({
             "u": u,
-            "W": [[[pref * v.real, pref * v.imag] for v in row]
+            "W": [[[pref * v.real, pref * v.imag] for v in map(complex, row)]
                   for row in vals],
         })
     _print_json({"ell": args.ell, "samples": samples})
@@ -295,11 +307,8 @@ def _cmd_eigen(args):
 
 
 def _cmd_reconstruct(args):
-    texts = args.theta.split(",")
-    thetas = [float(t) for t in texts]
-    for t, theta in zip(texts, thetas):
-        if not math.isfinite(theta):
-            raise ValueError(f"--theta value {t!r} is not a finite number")
+    thetas = _float_list(args.theta, "--theta", math.isfinite,
+                         "a finite number")
     from . import geometry   # loads numpy, which exact commands skip
     out = []
     for t in thetas:

@@ -1,17 +1,13 @@
 """Exact dense linear algebra over the Gaussian rationals.
 
 Works on plain nested lists of GaussianRational only.  One Gauss-Jordan
-elimination (`rref`) with exact pivots; rank, nullspace, solve and invert
-all read their answers off the reduced row echelon form.
+elimination (`rref`) with exact pivots; nullspace, solve and invert all
+read their answers off the reduced row echelon form.
 """
 
 from __future__ import annotations
 
 from .gaussian import ZERO, ONE
-
-
-def mat_copy(m):
-    return [row[:] for row in m]
 
 
 def mat_mul(a, b):
@@ -69,16 +65,12 @@ def rref(m):
     return pivots
 
 
-def rank(m):
-    return len(rref(mat_copy(m)))
-
-
 def nullspace(m):
     """Basis of the right null space, as a list of column vectors: one per
     free column, with 1 there and 0 in every other free column."""
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
-    work = mat_copy(m)
+    work = [row[:] for row in m]
     pivots = rref(work)
     basis = []
     for fc in [c for c in range(n_cols) if c not in pivots]:

@@ -104,18 +104,12 @@ class Polynomial:
         )
 
     def __call__(self, x):
-        """Evaluate by Horner.  Exact for GaussianRational/rational x;
-        documented round-off only for floats/complex."""
-        if isinstance(x, (int, Fraction)):
-            x = GaussianRational(x)
-        if isinstance(x, GaussianRational):
-            acc = ZERO
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        acc = 0j
+        """Evaluate by Horner at an exact point: an int, a Fraction or a
+        GaussianRational (anything else raises TypeError)."""
+        x = GaussianRational.of(x)
+        acc = ZERO
         for c in reversed(self.coeffs):
-            acc = acc * x + complex(c)
+            acc = acc * x + c
         return acc
 
     def __eq__(self, other):
@@ -286,11 +280,6 @@ class MatrixPolynomial:
     def conjugate_transpose(self) -> "MatrixPolynomial":
         return MatrixPolynomial._of(self.cols, self.rows, [
             exact_linalg.mat_conj_transpose(C) for C in self._terms])
-
-    def evaluate(self, x):
-        """Numeric evaluation; returns a nested list of complex numbers."""
-        return [[complex(self[i, j](x)) for j in range(self.cols)]
-                for i in range(self.rows)]
 
     def evaluate_exact(self, x):
         """Evaluation at an exact point; nested list of GaussianRational."""

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,6 +86,18 @@ class TestExitCodes:
                                  "1", "--k", "1", "--theta", theta)
             assert code == 2, theta
             assert out == "" and "error" in err, theta
+
+    @pytest.mark.parametrize("argv, message", [
+        (("weight", "--ell", "2", "--sample", "abc"),
+         "--sample value 'abc' is not a number in [-1, 1]"),
+        (("reconstruct", "--ell", "2", "--w", "0", "--k", "0",
+          "--theta", "0.1,abc"),
+         "--theta value 'abc' is not a finite number"),
+        (("weight", "--ell", "2", "--sample", "0.1,,0.2"),
+         "--sample value '' is not a number in [-1, 1]"),
+    ], ids=["sample-abc", "theta-abc", "sample-empty"])
+    def test_bad_token_names_its_option(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_odd_ell_warns(self, capsys):
         code, out, err = run(capsys, "eigen", "--ell", "1", "--wmax", "1")
@@ -287,6 +301,23 @@ class TestOutputFormats:
         assert [s["u"] for s in doc["samples"]] == [0.0, 0.5]
         w00 = doc["samples"][0]["W"][0][0]
         assert w00[1] == 0.0 and w00[0] > 0
+
+    @pytest.mark.parametrize("ell", [6, 8])
+    def test_weight_rounds_exact_values_once(self, capsys, ell):
+        # each printed entry is the exact W(u), at the float u taken
+        # exactly, rounded once and scaled by the float prefactor
+        us = [-1.0, -0.7, 0.0, 0.123, 0.9, 1.0]
+        code, out, err = run(capsys, "weight", "--ell", str(ell),
+                             "--sample", ",".join(map(repr, us)))
+        assert code == 0
+        W = build_weight(ell)
+        for u, sample in zip(us, json.loads(out)["samples"]):
+            pref = (2.0 / math.pi) * math.sqrt(max(0.0, 1.0 - u * u))
+            exact = [[complex(v) for v in row]
+                     for row in W.evaluate_exact(Fraction(u))]
+            assert sample["u"] == u
+            assert sample["W"] == [[[pref * v.real, pref * v.imag]
+                                    for v in row] for row in exact]
 
     def test_reduce_output(self, capsys):
         code, out, err = run(capsys, "reduce", "--ell", "2")

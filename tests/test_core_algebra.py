@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from sphmop.gaussian import (GaussianRational, format_gaussian,
                              parse_gaussian, I, ONE, ZERO)
+from sphmop.hypergeometric import hyp_terminating
 from sphmop.polynomials import (Polynomial, MatrixPolynomial,
                                 matpoly_inverse_triangular)
 
@@ -365,3 +366,18 @@ class TestMatrixPolynomial:
                       -(-M), (M * u - M * u) + M,
                       M.conjugate_transpose().conjugate_transpose()):
             assert other == M and hash(other) == hash(M)
+
+
+@pytest.mark.parametrize("evaluate", [
+    Polynomial([1, 2, 3]),
+    MatrixPolynomial([[Polynomial([1, 2]), I], [0, 1]]).evaluate_exact,
+    GaussianRational,
+    lambda z: hyp_terminating([-2, 3], [Fraction(3, 2)], z),
+], ids=["Polynomial", "evaluate_exact", "GaussianRational",
+        "hyp_terminating"])
+def test_float_point_is_a_type_error(evaluate):
+    # evaluation has one route, the exact one: a float point is refused,
+    # never rounded into the arithmetic
+    assert evaluate(Fraction(1, 2)) is not None
+    with pytest.raises(TypeError):
+        evaluate(0.5)

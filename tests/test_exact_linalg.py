@@ -34,6 +34,11 @@ def products(draw):
     return product(draw, draw(sizes), draw(sizes), draw(sizes))
 
 
+def rank(m):
+    """The test-local rank oracle: the pivot count of one rref."""
+    return len(el.rref([row[:] for row in m]))
+
+
 def apply(m, v):
     return [sum((a * b for a, b in zip(row, v)), ZERO) for row in m]
 
@@ -45,7 +50,7 @@ def transpose(m):
 def free_columns(m):
     """Columns that depend on the columns before them, found from ranks of
     leading column blocks, which do not depend on any elimination order."""
-    ranks = [0] + [el.rank([row[:c + 1] for row in m])
+    ranks = [0] + [rank([row[:c + 1] for row in m])
                    for c in range(len(m[0]))]
     return [c for c in range(len(m[0])) if ranks[c + 1] == ranks[c]]
 
@@ -56,7 +61,7 @@ def free_columns(m):
 def test_nullspace_is_the_canonical_basis(m):
     basis = el.nullspace(m)
     free = free_columns(m)
-    assert el.rank(m) + len(basis) == len(m[0])
+    assert rank(m) + len(basis) == len(m[0])
     assert len(basis) == len(free)
     for v, own in zip(basis, free):
         assert all(x.is_zero() for x in apply(m, v))
@@ -86,7 +91,7 @@ def test_solve(data):
 def test_invert(data):
     n, r = data.draw(sizes), data.draw(sizes)
     m = product(data.draw, n, r, n)
-    if r < n or el.rank(m) < n:
+    if r < n or rank(m) < n:
         with pytest.raises(ValueError, match="matrix is singular"):
             el.invert(m)
         return

@@ -202,7 +202,7 @@ class TestEvalH:
         for n in range(1, 7):
             C = gegenbauer(n, 1)
             for u in (-0.75, -0.2, 0.3, 0.8):
-                ref = complex(C(u)) / complex(C(1))
+                ref = complex(C(Fraction(u))) / complex(C(1))
                 assert abs(eval_H(0, n, 0, u)[0] - ref) < 1e-12
 
     def test_domain_check(self):

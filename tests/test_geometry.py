@@ -2,6 +2,7 @@
 reconstructed spherical functions with their equivariance properties."""
 
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -323,7 +324,7 @@ class TestReconstruction:
             for theta in np.linspace(0.1, 3.0, 7):
                 g = geo.plane_rotation_14(theta)
                 phi = geo.reconstruct_phi(0, n, 0, g)[0, 0]
-                ref = complex(C(np.cos(theta))) / complex(C(1))
+                ref = complex(C(Fraction(np.cos(theta)))) / complex(C(1))
                 assert abs(phi - ref) < 1e-8
 
     def test_meridian_commutes_with_axis_stabilizer(self):

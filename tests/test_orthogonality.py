@@ -63,13 +63,12 @@ class TestWeight:
             assert W.conjugate_transpose() == W
 
     def test_poly_part_positive_definite_samples(self, weights):
-        # evaluate gives complex numbers for a float, int, Fraction or
-        # GaussianRational point alike
+        # the exact values at each point, rounded once
         for ell, W in weights.items():
-            for u in (-0.9, -0.4, 0, Fraction(3, 10),
+            for u in (Fraction(-0.9), Fraction(-0.4), 0, Fraction(3, 10),
                       GaussianRational(Fraction(4, 5))):
-                vals = W.evaluate(u)
-                assert all(type(v) is complex for row in vals for v in row)
+                vals = [[complex(v) for v in row]
+                        for row in W.evaluate_exact(u)]
                 eigvals = np.linalg.eigvalsh(np.array(vals))
                 assert eigvals.min() > 0
 
