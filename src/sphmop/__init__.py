@@ -1,7 +1,7 @@
 """Exact matrix-valued orthogonal polynomials from spherical functions on
 the 3-sphere, with a numeric group-level reconstruction layer."""
 
-from .gaussian import GaussianRational, format_gaussian, parse_gaussian
+from .gaussian import GaussianRational, format_gaussian
 from .polynomials import (Polynomial, MatrixPolynomial,
                           matpoly_inverse_triangular)
 from .hypergeometric import hyp_terminating, hahn_value, racah_value

@@ -233,20 +233,3 @@ def format_gaussian(z: GaussianRational) -> str:
             parts.append(imtxt)
     return "".join(parts)
 
-
-def parse_gaussian(text: str) -> GaussianRational:
-    """Inverse of :func:`format_gaussian`: accepts exactly the strings it
-    emits and raises ValueError on any other."""
-    re_text, im_text = text, "0"
-    if text.endswith("*i"):
-        # the imaginary part starts at the last sign, or at the start
-        cut = max(text.rfind("+"), text.rfind("-"), 0)
-        re_text, im_text = text[:cut] or "0", text[cut:-2]
-    try:
-        z = GaussianRational(Fraction(re_text), Fraction(im_text))
-    except (ValueError, ZeroDivisionError):
-        z = None
-    if z is None or format_gaussian(z) != text:
-        raise ValueError(
-            f"not a canonical Gaussian-rational literal: {text!r}")
-    return z

@@ -44,11 +44,14 @@ def check_rotation(g, n: int) -> np.ndarray:
     """g as an n x n float array, if it is a rotation within _TOL.  The one
     input gate of this layer: every function taking a rotation calls it."""
     try:
-        g = np.asarray(g, dtype=float)
-    except (TypeError, ValueError):   # an object, a string, ragged
+        g = np.asarray(g)
+    except (TypeError, ValueError):   # ragged
         g = None
-    if g is None or g.shape != (n, n):
+    # kinds int, unsigned, float: a bool, a string, an object or an int too
+    # large for a float is no number here
+    if g is None or g.dtype.kind not in "iuf" or g.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} nested list of numbers")
+    g = g.astype(float, copy=False)
     if not np.all(np.isfinite(g)):
         raise ValueError("matrix has a non-finite entry")
     if np.max(np.abs(g.T @ g - np.eye(n))) > _TOL:

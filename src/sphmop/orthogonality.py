@@ -62,20 +62,20 @@ def chebyshev_moment(m: int) -> Fraction:
 def weighted_image(members, W: MatrixPolynomial, depth: int):
     """Image a of the members F_a stacks Y_j = sum_c M_{c+j} (F_a)_c in rows
     j*n .. (j+1)*n - 1, j <= depth, with (F_a)_c the coefficient matrices of
-    F_a and M_m = sum_k W_k mu_{m+k} the weight's moment matrices (W_k those
-    of W, mu = chebyshev_moment), built once for all members; then
-    <F_a, G> = integral of G* W F_a = sum_j G_j* Y_j whenever
-    deg G <= depth (the second argument is the conjugated one)."""
+    F_a and M_m = sum_k W_k mu_{m+k} the weight's moment matrices, all read
+    off one product of the entries of the W_k by the Hankel matrix [mu_{m+k}]
+    (mu = chebyshev_moment); then <F_a, G> = integral of G* W F_a =
+    sum_j G_j* Y_j whenever deg G <= depth (G is the conjugated argument)."""
     n = W.cols
     tops = [F.degree() or 0 for F in members]
     top = max(tops, default=0)
     Ws = [W.coefficient_matrix(k) for k in range((W.degree() or 0) + 1)]
-    mu = [chebyshev_moment(m) for m in range(top + depth + len(Ws))]
-    M = [[[sum((Wk[i][j] * mu[m + k] for k, Wk in enumerate(Ws)
-                if mu[m + k]), ZERO) for j in range(n)] for i in range(n)]
-         for m in range(top + depth + 1)]
+    M = exact_linalg.mat_mul(
+        [[Wk[i][j] for Wk in Ws] for i in range(n) for j in range(n)],
+        [[GaussianRational(chebyshev_moment(m + k))
+          for m in range(top + depth + 1)] for k in range(len(Ws))])
     # the block Hankel matrix [M_{c+j}], row j*n + i, column block c
-    hankel = [[x for c in range(top + 1) for x in M[c + j][i]]
+    hankel = [[M[i * n + k][c + j] for c in range(top + 1) for k in range(n)]
               for j in range(depth + 1) for i in range(n)]
     return [exact_linalg.mat_mul(
         [row[:(t + 1) * n] for row in hankel],

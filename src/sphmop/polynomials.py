@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import exact_linalg
-from .gaussian import GaussianRational, ZERO, ONE
+from .gaussian import GaussianRational, ZERO
 
 
 class Polynomial:
@@ -316,28 +316,27 @@ def mismatch(lhs: MatrixPolynomial, rhs: MatrixPolynomial, where=""):
 
 def matpoly_inverse_triangular(M: MatrixPolynomial) -> MatrixPolynomial:
     """Invert an upper triangular matrix polynomial whose diagonal entries are
-    nonzero constants, so that the inverse is again polynomial, by back
-    substitution: row i of the inverse is (e_i - sum_{j>i} M_ij row_j) / M_ii.
-    """
+    nonzero constants, so that the inverse X is again polynomial, as a power
+    series: X_0 = M_0^{-1} and X_c = -X_0 (M_1 X_(c-1) + ... + M_t X_(c-t)),
+    t = min(c, deg M), the bracket one product of [M_1 ... M_t] by
+    [X_(c-1); ...; X_(c-t)].  X_c depends only on the deg M before it, so
+    the series ends after deg M zero coefficients in a row."""
     if M.rows != M.cols:
         raise ValueError("inverse needs a square matrix")
-    n = M.rows
-    grid = [[M[i, j] for j in range(n)] for i in range(n)]
+    n, Ms, d = M.rows, M._terms, len(M._terms) - 1
     for i in range(n):
-        for j in range(i):
-            if not grid[i][j].is_zero():
-                raise ValueError("matrix is not upper triangular")
-        d = grid[i][i]
-        if not d.is_constant() or d.is_zero():
+        if any(not C[i][j].is_zero() for C in Ms for j in range(i)):
+            raise ValueError("matrix is not upper triangular")
+        if [not C[i][i].is_zero() for C in Ms] != [True] + [False] * d:
             raise ValueError("diagonal entry must be a nonzero constant")
-    inv = [None] * n
-    for i in reversed(range(n)):
-        row = [Polynomial.constant(int(c == i)) for c in range(n)]
-        for j in range(i + 1, n):
-            m = grid[i][j]
-            if not m.is_zero():
-                for c in range(j, n):
-                    row[c] = row[c] - m * inv[j][c]
-        d = ONE / grid[i][i].constant_term()
-        inv[i] = [x * d for x in row]
-    return MatrixPolynomial(inv)
+    if not n:
+        return M
+    X = [exact_linalg.invert(Ms[0])]
+    minus_X0, zeros = [[-x for x in row] for row in X[0]], 0
+    while zeros < d:
+        ts = range(1, min(len(X), d) + 1)
+        X.append(exact_linalg.mat_mul(minus_X0, exact_linalg.mat_mul(
+            [[x for t in ts for x in Ms[t][i]] for i in range(n)],
+            [row for t in ts for row in X[-t]])))
+        zeros = zeros + 1 if X[-1] == [[ZERO] * n] * n else 0
+    return MatrixPolynomial._of(n, n, X)

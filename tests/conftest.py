@@ -1,9 +1,11 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
 from sphmop import build_family, build_weight, cli
 from sphmop.cli import verify_rows
+from sphmop.gaussian import GaussianRational, format_gaussian
 from sphmop.polynomials import MatrixPolynomial
 
 # the desk-scale verification grid: every exact identity is checked at
@@ -51,3 +53,22 @@ def unit_matrix(n, i, j, entry=1):
     """The n x n matrix with `entry` at (i, j) and zeros elsewhere."""
     return MatrixPolynomial([[entry if (r, c) == (i, j) else 0
                               for c in range(n)] for r in range(n)])
+
+
+def parse_gaussian(text: str) -> GaussianRational:
+    """Inverse of `format_gaussian`, the reader of the JSON and CSV reports:
+    accepts exactly the strings it emits and raises ValueError on any
+    other."""
+    re_text, im_text = text, "0"
+    if text.endswith("*i"):
+        # the imaginary part starts at the last sign, or at the start
+        cut = max(text.rfind("+"), text.rfind("-"), 0)
+        re_text, im_text = text[:cut] or "0", text[cut:-2]
+    try:
+        z = GaussianRational(Fraction(re_text), Fraction(im_text))
+    except (ValueError, ZeroDivisionError):
+        z = None
+    if z is None or format_gaussian(z) != text:
+        raise ValueError(
+            f"not a canonical Gaussian-rational literal: {text!r}")
+    return z

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from sphmop import cli
-from sphmop.gaussian import parse_gaussian
 from sphmop.structure import build_structures
 from sphmop.orthogonality import build_weight
 from sphmop.family import build_family
 
+from conftest import parse_gaussian
 from test_orthogonality import oracle_inner_product
 
 
@@ -66,8 +66,11 @@ class TestExitCodes:
             assert code == 2, entry
             assert out == "" and "error" in err, entry
         # JSON that is no nested list of numbers: a scalar, null, an
-        # object, a ragged list
-        for text in ("5", "null", '{"a": 1}', "[[1, 2], [3]]"):
+        # object, a ragged list, the identity as strings and as booleans
+        eye = np.eye(4, dtype=int).tolist()
+        for text in ("5", "null", '{"a": 1}', "[[1, 2], [3]]",
+                     json.dumps([[str(x) for x in row] for row in eye]),
+                     json.dumps([[bool(x) for x in row] for row in eye])):
             bad.write_text(text)
             code, out, err = run(capsys, "cover", str(bad))
             assert code == 2, text

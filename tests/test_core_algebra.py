@@ -5,13 +5,15 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sphmop.gaussian import (GaussianRational, format_gaussian,
-                             parse_gaussian, I, ONE, ZERO)
+from sphmop.gaussian import GaussianRational, format_gaussian, I, ONE, ZERO
+from sphmop.family import build_Pw
 from sphmop.hypergeometric import hyp_terminating
 from sphmop.polynomials import (Polynomial, MatrixPolynomial,
                                 matpoly_inverse_triangular)
+
+from conftest import parse_gaussian
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -250,6 +252,15 @@ def oracle_product(A, B):
         (A[i, t] * B[t, j] for t in range(A.cols)), Polynomial.zero()))
 
 
+def long_series_examples(test):
+    """The 0 x 0 matrix and Psi = P_0 for ell 0..12 as explicit examples:
+    the strategy stops at 3 x 3 and degree 1, so never runs a long series."""
+    for M in (MatrixPolynomial.zeros(0, 0),
+              *(build_Pw(ell, 0) for ell in range(13))):
+        test = example(M)(test)
+    return test
+
+
 class TestMatrixPolynomial:
     def test_inverse_identity(self):
         eye = MatrixPolynomial.identity(3)
@@ -276,18 +287,35 @@ class TestMatrixPolynomial:
             [GaussianRational(Fraction(1, 2)), GaussianRational(-3)])
 
     def test_inverse_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="inverse needs a square"):
+            matpoly_inverse_triangular(MatrixPolynomial([[1, 0]]))
         lower = MatrixPolynomial([
             [Polynomial([1]), Polynomial.zero()],
             [Polynomial([1]), Polynomial([1])],
         ])
-        with pytest.raises(ValueError):
-            matpoly_inverse_triangular(lower)
+        # the only lower entry sits in the degree-1 coefficient
+        lower_in_u = MatrixPolynomial([[1, 0], [Polynomial([0, 1]), 1]])
+        for M in (lower, lower_in_u):
+            with pytest.raises(ValueError, match="not upper triangular"):
+                matpoly_inverse_triangular(M)
         nonconst_diag = MatrixPolynomial([
             [Polynomial([0, 1]), Polynomial.zero()],
             [Polynomial.zero(), Polynomial([1])],
         ])
-        with pytest.raises(ValueError):
-            matpoly_inverse_triangular(nonconst_diag)
+        for M in (nonconst_diag, MatrixPolynomial.zeros(2, 2)):
+            with pytest.raises(ValueError, match="nonzero constant"):
+                matpoly_inverse_triangular(M)
+
+    def test_inverse_does_no_polynomial_arithmetic(self, monkeypatch):
+        # the inverse is read off exact_linalg products of the coefficient
+        # matrices, never off Polynomial ring operations
+        Psi = build_Pw(6, 0)
+        with monkeypatch.context() as mp:
+            for name in ("__add__", "__sub__", "__neg__", "__mul__"):
+                mp.setattr(Polynomial, name,
+                           lambda *args: pytest.fail("Polynomial arithmetic"))
+            inv = matpoly_inverse_triangular(Psi)
+        assert Psi * inv == MatrixPolynomial.identity(Psi.rows)
 
     def test_reflected_scalar_products(self):
         # a scalar or Polynomial on the left reaches the right operand's
@@ -321,6 +349,7 @@ class TestMatrixPolynomial:
 
     @settings(max_examples=40, deadline=None)
     @given(triangular_matrices())
+    @long_series_examples
     def test_inverse_property(self, M):
         inv = matpoly_inverse_triangular(M)
         assert M * inv == MatrixPolynomial.identity(M.rows)

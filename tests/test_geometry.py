@@ -140,6 +140,19 @@ class TestCover:
             with pytest.raises(ValueError, match="4x4 nested list"):
                 geo.wedge_cover(bad)
 
+    def test_rejects_booleans_strings_and_huge_ints(self):
+        # numpy would convert each of these to a float array without
+        # complaint; none of them is a nested list of numbers
+        for n, gate in ((4, geo.wedge_cover),
+                        (3, lambda k: geo.rep_exp(geo.RepSO3(2), k))):
+            eye = np.eye(n, dtype=int).tolist()
+            for bad in ([[bool(x) for x in row] for row in eye],
+                        [[str(x) for x in row] for row in eye],
+                        [[x * 10 ** 400 for x in row] for row in eye]):
+                with pytest.raises(ValueError, match=f"{n}x{n} nested list"):
+                    gate(bad)
+            gate(eye)
+
     def test_rejects_non_finite(self):
         # NaN compares false with every tolerance, so it must be caught first
         for n in (3, 4):
