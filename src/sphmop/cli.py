@@ -418,7 +418,16 @@ def main(argv=None) -> int:
               "K-type; only even ell has group-level meaning",
               file=sys.stderr)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # a reader that closed the pipe shows here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped, which is no input error: as the Python docs'
+        # SIGPIPE note does, send what is still buffered to devnull and
+        # exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -131,6 +131,12 @@ def build_family(ell: int, w_max: int) -> FamilyPackage:
 _HAHN_COMPLEX = {}
 
 
+@lru_cache(maxsize=None)
+def _lower_parameter(j: int) -> tuple:
+    """The lower parameter (j + 3/2,) of the 2F1 of entry j in eval_H."""
+    return (Fraction(2 * j + 3, 2),)
+
+
 def eval_H(ell: int, w: int, k: int, u: float):
     """Numeric value of the vector H(u) = U diag((1-u^2)^{j/2}) P_col(u).
 
@@ -143,9 +149,10 @@ def eval_H(ell: int, w: int, k: int, u: float):
     if not -1.0 <= u <= 1.0:
         raise ValueError("u must lie in [-1, 1]")
     a = coeffs_by_recursion(ell, w, k)
-    z = (1 - Fraction(u)) / 2
+    # one GaussianRational for every entry's sum, so none converts it again
+    z = GaussianRational.of((1 - Fraction(u)) / 2)
     p = [complex(x * hyp_terminating([j - w - k, w + k + j + 2],
-                                     [Fraction(2 * j + 3, 2)], z))
+                                     _lower_parameter(j), z))
          if not x.is_zero() else 0j for j, x in enumerate(a)]
     t = [(1.0 - u * u) ** (j / 2.0) for j in range(ell + 1)]
     st = build_structures(ell)

@@ -185,9 +185,15 @@ def integer_horner(p, D: int, z) -> GaussianRational:
     """(p_0 + p_1 z + ... + p_n z^n) / D for integers p_m and D > 0, at a
     scalar z = (a + b*i) / d.  Horner's rule runs on the Gaussian integer
     acc <- acc (a + b*i) + p_m d^(n-m), and the sum is reduced once, as
-    acc / (D d^n)."""
+    acc / (D d^n).  A real z (b = 0) runs the same rule on integers."""
     z = GaussianRational.of(z)
     a, b, d = z._a, z._b, z._d
+    if not b:
+        acc, scale = p[-1], 1
+        for c in reversed(p[:-1]):
+            scale *= d
+            acc = acc * a + c * scale
+        return _reduced(acc, 0, D * scale)
     re, im, scale = p[-1], 0, 1
     for c in reversed(p[:-1]):
         scale *= d

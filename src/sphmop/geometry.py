@@ -12,7 +12,9 @@ operations and 1e-7 for composites, on unit-scale matrices.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,14 +46,18 @@ def check_rotation(g, n: int) -> np.ndarray:
     """g as an n x n float array, if it is a rotation within _TOL.  The one
     input gate of this layer: every function taking a rotation calls it."""
     try:
-        g = np.asarray(g)
+        m = np.asarray(g)
     except (TypeError, ValueError):   # ragged
-        g = None
+        m = None
     # kinds int, unsigned, float: a bool, a string, an object or an int too
-    # large for a float is no number here
-    if g is None or g.dtype.kind not in "iuf" or g.shape != (n, n):
+    # large for a float is no number here; a list that mixes booleans with
+    # numbers converts to ints, so its entries are read one by one
+    if (m is None or m.dtype.kind not in "iuf" or m.shape != (n, n)
+            or (not isinstance(g, np.ndarray) and any(
+                isinstance(x, (bool, np.bool_))
+                for x in np.asarray(g, dtype=object).flat))):
         raise ValueError(f"expected a {n}x{n} nested list of numbers")
-    g = g.astype(float, copy=False)
+    g = m.astype(float, copy=False)
     if not np.all(np.isfinite(g)):
         raise ValueError("matrix has a non-finite entry")
     if np.max(np.abs(g.T @ g - np.eye(n))) > _TOL:
@@ -110,6 +116,45 @@ def _quaternion(k: np.ndarray) -> list:
     return [x * scale for x in table[i]]
 
 
+class _SymmetricPower(NamedTuple):
+    """The index table of the ell-th symmetric power of a 2 x 2 matrix
+    [[a, b], [c, d]] in the basis C(ell, j) x^(ell-j) y^j.
+
+    Column j holds the y-coefficients of (a + c y)^(ell-j) (b + d y)^j,
+    entry i scaled by C(ell, j) / C(ell, i): one term
+    C(ell-j, s) C(j, t) a^(ell-j-s) c^s b^(j-t) d^t for each s <= ell-j and
+    t <= j, landing in row i = s + t.
+    """
+
+    index: np.ndarray     # 4 x terms: the positions of the powers of a, b,
+                          # c and d in the flat (ell+1) x 4 table of powers
+    weights: np.ndarray   # C(ell-j, s) C(j, t) C(ell, j) / C(ell, i)
+    targets: np.ndarray   # the flat positions 2(i n + j) and 2(i n + j) + 1
+                          # of each term's real and imaginary part in the
+                          # n x n output viewed as floats
+    ratio: np.ndarray     # C(ell, j) / C(ell, i) at (i, j)
+
+
+@lru_cache(maxsize=None)
+def _symmetric_power(ell: int) -> _SymmetricPower:
+    """The _SymmetricPower table of ell, built once per ell."""
+    n = ell + 1
+    binom = [comb(ell, j) for j in range(n)]
+    powers, weights, targets = [], [], []
+    for j in range(n):
+        for s in range(n - j):
+            for t in range(j + 1):
+                i = s + t
+                powers.append(((ell - j - s) * 4, (j - t) * 4 + 1,
+                               s * 4 + 2, t * 4 + 3))
+                weights.append(comb(ell - j, s) * comb(j, t) * binom[j]
+                               / binom[i])
+                targets += [2 * (i * n + j), 2 * (i * n + j) + 1]
+    ratio = np.array([[bj / bi for bj in binom] for bi in binom])
+    return _SymmetricPower(np.array(powers).T.copy(), np.array(weights),
+                           np.array(targets), ratio)
+
+
 def rep_exp(rep: RepSO3, k: np.ndarray) -> np.ndarray:
     """pi_ell(k) from the unit quaternion (w, x, y, z) of k.
 
@@ -120,27 +165,19 @@ def rep_exp(rep: RepSO3, k: np.ndarray) -> np.ndarray:
     and check against that exponential).  Taking w >= 0 lifts k
     as the rotation vector with |r| <= pi does, which fixes the sign of
     pi_ell(k) for odd ell.  pi_ell(k) is the ell-th symmetric power of U in
-    the basis C(ell, j) x^(ell-j) y^j: with U = [[a, b], [c, d]], column j
-    holds the y-coefficients of (a + c y)^(ell-j) (b + d y)^j, entry i
-    scaled by C(ell, j) / C(ell, i).
+    the basis C(ell, j) x^(ell-j) y^j, summed term by term from the table
+    of _symmetric_power.
     """
     w, x, y, z = _quaternion(check_rotation(k, 3))
     n = rep.ell + 1
-    # coefficient lists of (a + c y)^m and (b + d y)^m for m < n; q[i - 1]
-    # at i = 0 is the zero appended to q
-    left, right = [[1.0]], [[1.0]]
-    for p, c0, c1 in ((left, complex(w, -x), complex(y, z)),
-                      (right, complex(-y, z), complex(w, x))):
-        for _ in range(n - 1):
-            q = p[-1] + [0.0]
-            p.append([c0 * q[i] + c1 * q[i - 1] for i in range(len(q))])
-    cols = [[0j] * n for _ in range(n)]
-    for j, col in enumerate(cols):
-        for s, u in enumerate(left[n - 1 - j]):
-            for t, v in enumerate(right[j]):
-                col[s + t] += u * v
-    binom = np.array([float(comb(n - 1, j)) for j in range(n)])
-    return np.array(cols).T * (binom[None, :] / binom[:, None])
+    sym = _symmetric_power(rep.ell)
+    abcd = np.array([complex(w, -x), complex(-y, z), complex(y, z),
+                     complex(w, x)])
+    table = np.power(abcd, np.arange(n)[:, None]).ravel()
+    a, b, c, d = sym.index
+    terms = sym.weights * table[a] * table[b] * table[c] * table[d]
+    return np.bincount(sym.targets, weights=terms.view(float),
+                       minlength=2 * n * n).view(complex).reshape(n, n)
 
 
 def phi_pi(rep: RepSO3, g: np.ndarray) -> np.ndarray:
@@ -190,8 +227,10 @@ def reconstruct_phi(ell: int, w: int, k: int, g: np.ndarray) -> np.ndarray:
     k0 = section_matrix(x[:3])
     rep = RepSO3(ell)
     pik0 = rep_exp(rep, k0)
-    hdiag = np.diag(eval_H(ell, w, k, u))
-    H = pik0 @ hdiag @ np.linalg.inv(pik0)
+    # pi(k0)^-1 = S^-1 pi(k0)^H S for S = diag C(ell, j): pi_ell is unitary
+    # for the form S, in which C(ell, j) x^(ell-j) y^j has norm^2 C(ell, j)
+    inverse = pik0.conj().T * _symmetric_power(ell).ratio
+    H = (pik0 * np.array(eval_H(ell, w, k, u))) @ inverse
     return H @ rep_exp(rep, a)
 
 

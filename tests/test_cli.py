@@ -66,11 +66,13 @@ class TestExitCodes:
             assert code == 2, entry
             assert out == "" and "error" in err, entry
         # JSON that is no nested list of numbers: a scalar, null, an
-        # object, a ragged list, the identity as strings and as booleans
+        # object, a ragged list, the identity as strings and as booleans,
+        # and the identity with one boolean among its numbers
         eye = np.eye(4, dtype=int).tolist()
         for text in ("5", "null", '{"a": 1}', "[[1, 2], [3]]",
                      json.dumps([[str(x) for x in row] for row in eye]),
-                     json.dumps([[bool(x) for x in row] for row in eye])):
+                     json.dumps([[bool(x) for x in row] for row in eye]),
+                     json.dumps([[True, 0, 0, 0]] + eye[1:])):
             bad.write_text(text)
             code, out, err = run(capsys, "cover", str(bad))
             assert code == 2, text
@@ -370,6 +372,25 @@ class TestOutputFormats:
         doc = json.loads(out)
         assert np.allclose(doc["a"], np.eye(3))
         assert np.allclose(doc["b"], np.eye(3))
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_is_no_error(self):
+        # unbuffered, each report line is its own write, so a write after
+        # the reader has gone finds the pipe closed; the rows after the
+        # first take hundreds of milliseconds, so some come after the close
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sphmop.cli", "verify", "--ell", "6",
+             "--wmax", "6"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env, text=True)
+        assert proc.stdout.readline().startswith("PASS")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == ""
 
 
 class TestImportBoundary:

@@ -7,7 +7,8 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sphmop.gaussian import GaussianRational, format_gaussian, I, ONE, ZERO
+from sphmop.gaussian import (GaussianRational, format_gaussian,
+                             integer_horner, I, ONE, ZERO)
 from sphmop.family import build_Pw
 from sphmop.hypergeometric import hyp_terminating
 from sphmop.polynomials import (Polynomial, MatrixPolynomial,
@@ -158,6 +159,31 @@ class TestGaussianRational:
         assert len({GaussianRational(3), 3, Fraction(3)}) == 1
         assert hash(GaussianRational(Fraction(1, 2))) == hash(Fraction(1, 2))
         assert len({Polynomial.constant(3), 3}) == 1
+
+
+class TestIntegerHorner:
+    # integer coefficients p_0 .. p_n, small and 64-bit, over D > 0
+    series = st.tuples(st.lists(numerators, min_size=1, max_size=10),
+                       denominators)
+
+    @settings(max_examples=200)
+    @given(series, exact_rationals)
+    def test_real_point_matches_fraction_horner(self, pD, z):
+        p, D = pD
+        acc = Fraction(0)
+        for c in reversed(p):
+            acc = acc * z + c
+        assert_matches(integer_horner(p, D, z), FractionPair(acc / D))
+
+    @settings(max_examples=200)
+    @given(series, exact_rationals, exact_rationals.filter(bool))
+    def test_gaussian_point_matches_fraction_pair_horner(self, pD, re, im):
+        p, D = pD
+        z, acc = FractionPair(re, im), FractionPair(0)
+        for c in reversed(p):
+            acc = acc * z + FractionPair(c)
+        assert_matches(integer_horner(p, D, GaussianRational(re, im)),
+                       acc / FractionPair(D))
 
 
 class TestPolynomial:

@@ -3,6 +3,7 @@ reconstructed spherical functions with their equivariance properties."""
 
 import functools
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -69,6 +70,17 @@ def oracle_rep_exp(rep, k):
     Y3 = 0.5j * h
     r = Rotation.from_matrix(k).as_rotvec()
     return expm(-r[0] * Y3 + r[1] * Y2 - r[2] * Y1)
+
+
+def near_ray_point(rng, offset):
+    """A rotation g whose coset point g e4 has its first three coordinates
+    `offset` off the ray x1 < 0, x2 = x3 = 0 excluded by the explicit
+    section chart."""
+    theta = 1.0
+    delta = np.arcsin(offset / np.sin(theta))
+    return (geo.embed_so3(rotation_z(np.pi - delta))
+            @ geo.plane_rotation_14(theta)
+            @ geo.embed_so3(random_rotation(rng, 3)))
 
 
 def rotation_about(axis, theta):
@@ -147,6 +159,8 @@ class TestCover:
                         (3, lambda k: geo.rep_exp(geo.RepSO3(2), k))):
             eye = np.eye(n, dtype=int).tolist()
             for bad in ([[bool(x) for x in row] for row in eye],
+                        [[True] + eye[0][1:]] + eye[1:],
+                        [[np.True_] + eye[0][1:]] + eye[1:],
                         [[str(x) for x in row] for row in eye],
                         [[x * 10 ** 400 for x in row] for row in eye]):
                 with pytest.raises(ValueError, match=f"{n}x{n} nested list"):
@@ -219,6 +233,20 @@ class TestRepresentation:
                     err = min(err, np.max(np.abs(lhs + rhs)))
                 assert err < 1e-8
 
+    def test_inverse_is_adjoint_for_binomial_form(self, rng):
+        # pi_ell(k)^-1 = S^-1 pi_ell(k)^H S with S = diag C(ell, j), the
+        # route reconstruct_phi takes to pi(k0)^-1; with the w >= 0 lift
+        # on both sides it holds with its sign for odd ell too
+        ks = [random_rotation(rng, 3) for _ in range(10)]
+        for ell in range(8):
+            rep = geo.RepSO3(ell)
+            S = np.array([float(comb(ell, j)) for j in range(ell + 1)])
+            for k in ks:
+                adjoint = geo.rep_exp(rep, k).conj().T * S[None, :] \
+                    / S[:, None]
+                assert np.max(np.abs(adjoint - geo.rep_exp(rep, k.T))) \
+                    < 1e-13, (ell, k)
+
     def test_unitary(self, rng):
         for ell in (1, 2, 4):
             rep = geo.RepSO3(ell)
@@ -273,6 +301,26 @@ class TestReconstruction:
                             lambda g, n: sizes.append(n) or check(g, n))
         geo.reconstruct_phi(2, 1, 1, geo.plane_rotation_14(0.7))
         assert sizes.count(4) == 1
+        assert sizes.count(3) == 2
+
+    def test_matches_numeric_inverse(self):
+        # Phi = pi(k0) diag(H) pi(k0)^-1 pi(a) with the inverse taken by
+        # numpy, at seeded Haar points and at points 1e-9 off the excluded
+        # ray of the section chart, odd ell included
+        rng = np.random.default_rng(31)
+        points = ([random_rotation(rng, 4) for _ in range(4)]
+                  + [near_ray_point(rng, 1e-9) for _ in range(2)])
+        for ell in range(8):
+            rep = geo.RepSO3(ell)
+            for w, k in ((0, 0), (1, ell // 2), (3, ell)):
+                for g in points:
+                    x = g[:, 3]
+                    pik0 = geo.rep_exp(rep, geo.section_matrix(x[:3]))
+                    h = eval_H(ell, w, k, float(np.clip(x[3], -1.0, 1.0)))
+                    ref = (pik0 @ np.diag(h) @ np.linalg.inv(pik0)
+                           @ geo.phi_pi(rep, g))
+                    diff = geo.reconstruct_phi(ell, w, k, g) - ref
+                    assert np.max(np.abs(diff)) < 1e-12, (ell, w, k)
 
     def test_trivial_function(self, rng):
         for _ in range(5):
@@ -301,12 +349,8 @@ class TestReconstruction:
         # bi-equivariant like anywhere else
         rng = np.random.default_rng(7)
         rep = geo.RepSO3(2)
-        theta = 1.0
         for offset in (1e-4, 1e-9):
-            delta = np.arcsin(offset / np.sin(theta))
-            g = (geo.embed_so3(rotation_z(np.pi - delta))
-                 @ geo.plane_rotation_14(theta)
-                 @ geo.embed_so3(random_rotation(rng, 3)))
+            g = near_ray_point(rng, offset)
             x = g[:3, 3]
             assert x[0] < 0 and abs(np.hypot(x[1], x[2]) - offset) < 1e-15
             phi = geo.reconstruct_phi(2, 1, 1, g)
