@@ -1,26 +1,67 @@
 """Exact dense linear algebra over the Gaussian rationals.
 
-Works on plain nested lists of GaussianRational only.  One Gauss-Jordan
-elimination (`rref`) with exact pivots; nullspace, solve and invert all
-read their answers off the reduced row echelon form.
+Works on plain nested lists of GaussianRational only.  One product kernel
+(`product_sum`, on the integer sparse form of each factor) and one
+Gauss-Jordan elimination (`rref`) with exact pivots; nullspace, solve and
+invert all read their answers off the reduced row echelon form.  Both sum
+on integers and reduce each result entry once.
 """
 
 from __future__ import annotations
 
-from .gaussian import ZERO, ONE
+from math import gcd
+
+from .gaussian import ZERO, ONE, _reduced
+
+
+def sparse_rows(m):
+    """The nonzero entries of each row of m as (column, a, b, d), one tuple
+    for each entry (a + b*i) / d: the form product_sum multiplies."""
+    return [[(j, x._a, x._b, x._d) for j, x in enumerate(row) if x._a or x._b]
+            for row in m]
+
+
+def product_sum(pairs, n_rows, n_cols):
+    """The n_rows x n_cols sum of the products A B over pairs (A, B) of
+    sparse_rows forms; only nonzero entries of both factors are visited.
+
+    Each entry is summed on integers, a numerator pair over a running
+    denominator: a term whose denominator divides it is scaled up and added,
+    any other brings the sum to the lcm of the two.  The entry is reduced
+    once, at the end.
+    """
+    out = []
+    for i in range(n_rows):
+        acc = {}
+        for a, b in pairs:
+            for k, xa, xb, xd in a[i]:
+                for j, c, f, e in b[k]:
+                    d = xd * e
+                    s = acc.get(j)
+                    if s is None:
+                        acc[j] = [xa * c - xb * f, xa * f + xb * c, d]
+                        continue
+                    D = s[2]
+                    if D % d:
+                        g = gcd(D, d)
+                        u, v = d // g, D // g
+                        s[0] = s[0] * u + (xa * c - xb * f) * v
+                        s[1] = s[1] * u + (xa * f + xb * c) * v
+                        s[2] = D * u
+                    else:
+                        v = D // d
+                        s[0] += (xa * c - xb * f) * v
+                        s[1] += (xa * f + xb * c) * v
+        row = [ZERO] * n_cols
+        for j, (re, im, d) in acc.items():
+            row[j] = _reduced(re, im, d)
+        out.append(row)
+    return out
 
 
 def mat_mul(a, b):
-    """Product, skipping zero entries of both factors."""
-    supports = [[j for j, y in enumerate(r) if not y.is_zero()] for r in b]
-    out = [[ZERO] * len(b[0]) for _ in a]
-    for arow, orow in zip(a, out):
-        for x, brow, support in zip(arow, b, supports):
-            if x.is_zero():
-                continue
-            for j in support:
-                orow[j] = orow[j] + x * brow[j]
-    return out
+    """Product of two matrices, one product_sum."""
+    return product_sum([(sparse_rows(a), sparse_rows(b))], len(a), len(b[0]))
 
 
 def mat_identity(n):
@@ -49,18 +90,20 @@ def rref(m):
         else:
             continue
         m[piv_r], m[i_row] = m[i_row], m[piv_r]
-        prow = m[piv_r]
-        inv = ONE / prow[piv_c]
-        support = [c for c in range(piv_c, n_cols) if not prow[c].is_zero()]
-        for c in support:
-            prow[c] = prow[c] * inv
+        inv = ONE / m[piv_r][piv_c]
+        m[piv_r] = prow = [x if x.is_zero() else x * inv for x in m[piv_r]]
+        support = sparse_rows([prow])[0]
         for r in range(n_rows):
-            fr = m[r][piv_c]
-            if r == piv_r or fr.is_zero():
+            f = m[r][piv_c]
+            if r == piv_r or f.is_zero():
                 continue
-            row = m[r]
-            for c in support:
-                row[c] = row[c] - prow[c] * fr
+            # row - f prow on integers, each entry reduced once
+            row, fa, fb, fd = m[r], f._a, f._b, f._d
+            for c, pa, pb, pd in support:
+                x = row[c]
+                xd, e = x._d, pd * fd
+                row[c] = _reduced(x._a * e - (pa * fa - pb * fb) * xd,
+                                  x._b * e - (pa * fb + pb * fa) * xd, xd * e)
         pivots.append(piv_c)
     return pivots
 

@@ -9,10 +9,10 @@ normalised Gegenbauer table; eval_H sums them as 2F1 series at a point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
+from typing import NamedTuple
 
 from .gaussian import GaussianRational, ZERO, ONE
 from .polynomials import (Polynomial, MatrixPolynomial,
@@ -100,8 +100,7 @@ def build_Pw(ell: int, w: int) -> MatrixPolynomial:
                       normalised_gegenbauer(j + 1, w + k - j) * cols[k][j]))
 
 
-@dataclass(frozen=True)
-class FamilyPackage:
+class FamilyPackage(NamedTuple):
     """Psi, its inverse, and the packages P_w and P_w~ for w up to w_max."""
 
     ell: int

@@ -223,7 +223,7 @@ def reconstruct_phi(ell: int, w: int, k: int, g: np.ndarray) -> np.ndarray:
     H(u)."""
     a, _ = wedge_cover(g)   # the one gate on g
     x = np.asarray(g, dtype=float)[:, 3]
-    u = float(np.clip(x[3], -1.0, 1.0))
+    u = min(max(float(x[3]), -1.0), 1.0)
     k0 = section_matrix(x[:3])
     rep = RepSO3(ell)
     pik0 = rep_exp(rep, k0)

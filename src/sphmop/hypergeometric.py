@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm, prod
 
 from .gaussian import GaussianRational, as_fraction, integer_horner
 
@@ -23,9 +23,10 @@ def series_coefficients(numerator: tuple, denominator: tuple):
 
     The series must terminate through a nonpositive integer numerator
     parameter, and no denominator parameter may hit zero before it does
-    (ValueError otherwise; an error is not cached).  The coefficients are
-    accumulated as Pochhammer ratios to avoid factorial blowup.  Cached per
-    parameter tuple; the tuple it returns is shared by every caller.
+    (ValueError otherwise; an error is not cached).  Each coefficient is
+    the previous one times an integer ratio of the shifted parameters, and
+    is reduced once, so no factorial grows.  Cached per parameter tuple; the
+    tuple it returns is shared by every caller.
     """
     stops = [-int(a) for a in numerator if a <= 0 and a.denominator == 1]
     if not stops:
@@ -36,16 +37,29 @@ def series_coefficients(numerator: tuple, denominator: tuple):
         if b <= 0 and b.denominator == 1 and -int(b) < n_terms:
             raise ValueError("denominator parameter hits zero before "
                              "the series terminates")
-    coeffs = [Fraction(1)]
+    # a parameter p/q shifted by m is (p + m q) / q, so coefficient m + 1 is
+    # coefficient m times the integer ratio
+    #     q_bottom prod_a (p_a + m q_a) / ((m + 1) q_top prod_b (p_b + m q_b))
+    # with q_top, q_bottom the products of the numerator and denominator q's
+    top = [(a.numerator, a.denominator) for a in numerator]
+    bottom = [(b.numerator, b.denominator) for b in denominator]
+    q_top = prod(q for _, q in top)
+    q_bottom = prod(q for _, q in bottom)
+    coeffs = [(1, 1)]
+    n, d = 1, 1
     for m in range(n_terms):
-        c = coeffs[-1] / (m + 1)
-        for a in numerator:
-            c *= a + m
-        for b in denominator:
-            c /= b + m
-        coeffs.append(c)
-    D = lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (D // c.denominator) for c in coeffs), D
+        n *= q_bottom
+        for p, q in top:
+            n *= p + m * q
+        d *= (m + 1) * q_top
+        for p, q in bottom:
+            d *= p + m * q
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        coeffs.append((n, d))
+    # lcm is positive, so n * (D // d) has the sign of n / d
+    D = lcm(*(d for _, d in coeffs))
+    return tuple(n * (D // d) for n, d in coeffs), D
 
 
 def hyp_terminating(numerator, denominator, z):

@@ -7,16 +7,16 @@ the left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .gaussian import GaussianRational
-from .polynomials import Polynomial, MatrixPolynomial, mismatch
+from .polynomials import (Polynomial, MatrixPolynomial, matpoly_product_sum,
+                          mismatch)
 from .structure import build_structures
 
 
-@dataclass(frozen=True)
-class MatrixODEOperator:
+class MatrixODEOperator(NamedTuple):
     """F maps to A2 F'' + A1 F' + A0 F; A2 is the zero matrix for
     first-order operators."""
 
@@ -72,7 +72,8 @@ def apply(op: MatrixODEOperator, F: MatrixPolynomial) -> MatrixPolynomial:
     if op.A1.cols != F.rows:
         raise ValueError("size mismatch between operator and argument")
     d1 = F.derivative()
-    return op.A2 * d1.derivative() + op.A1 * d1 + op.A0 * F
+    return matpoly_product_sum(
+        [(op.A2, d1.derivative()), (op.A1, d1), (op.A0, F)])
 
 
 def conjugate(op: MatrixODEOperator, Psi: MatrixPolynomial,
@@ -87,7 +88,8 @@ def conjugate(op: MatrixODEOperator, Psi: MatrixPolynomial,
     """
     return MatrixODEOperator(
         A2=PsiInv * (op.A2 * Psi),
-        A1=PsiInv * (op.A2 * Psi.derivative() * 2 + op.A1 * Psi),
+        A1=PsiInv * matpoly_product_sum([(op.A2 * 2, Psi.derivative()),
+                                         (op.A1, Psi)]),
         A0=PsiInv * apply(op, Psi),
     )
 

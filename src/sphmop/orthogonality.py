@@ -8,10 +8,10 @@ matrices M_m = integral of u^m W(u) against the measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
+from typing import NamedTuple
 
 from .gaussian import GaussianRational, ZERO, ONE, I
 from .polynomials import Polynomial, MatrixPolynomial, mismatch
@@ -94,10 +94,17 @@ def inner_product_against_image(partners, images):
         depth = len(images[0]) // G.rows - 1 if images else top
         if top > depth:
             raise ValueError(f"partner degree {top} > image depth {depth}")
-        adjoints.append(exact_linalg.mat_conj_transpose(
-            [row for j in range(top + 1) for row in G.coefficient_matrix(j)]))
-    return [[MatrixPolynomial(exact_linalg.mat_mul(Gs, Y[:len(Gs[0])]))
-             for Gs in adjoints] for Y in images]
+        adjoints.append(exact_linalg.sparse_rows(
+            exact_linalg.mat_conj_transpose(
+                [row for j in range(top + 1)
+                 for row in G.coefficient_matrix(j)])))
+    T = []
+    for Y in images:
+        # read once; each product reads only the rows that Gs's columns reach
+        Ys = exact_linalg.sparse_rows(Y)
+        T.append([MatrixPolynomial(exact_linalg.product_sum(
+            [(Gs, Ys)], len(Gs), len(Y[0]))) for Gs in adjoints])
+    return T
 
 
 def symmetry_check(T):
@@ -132,8 +139,7 @@ def ldu_decompose(ell: int):
     return L, Dg, Uf
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(NamedTuple):
     """Block-diagonalizing change of basis for a reducible weight."""
 
     R: MatrixPolynomial
@@ -163,12 +169,14 @@ def commutant(W: MatrixPolynomial):
         if len(basis) <= 1:
             break
         Wm = W.coefficient_matrix(m)
+        # each bracket B W_m - W_m B is one product_sum of B W_m and (-W_m) B
+        plus = exact_linalg.sparse_rows(Wm)
+        minus = exact_linalg.sparse_rows([[-x for x in row] for row in Wm])
         brackets = []
         for v in basis:
-            BW = exact_linalg.mat_mul(unvec(v), Wm)
-            WB = exact_linalg.mat_mul(Wm, unvec(v))
-            brackets.append([x - y for r, s in zip(BW, WB)
-                             for x, y in zip(r, s)])
+            B = exact_linalg.sparse_rows(unvec(v))
+            brackets.append([x for row in exact_linalg.product_sum(
+                [(B, plus), (minus, B)], n, n) for x in row])
         xs = exact_linalg.nullspace([list(row) for row in zip(*brackets)])
         basis = exact_linalg.mat_mul(xs, basis)
     # canonical basis, as one nullspace of the stacked system gives it: the

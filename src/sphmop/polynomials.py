@@ -88,13 +88,12 @@ class Polynomial:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Polynomial.zero()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(out)
+        # the row of our coefficients times the rows u^i other, i = 0, 1, ...
+        a, b = exact_linalg.sparse_rows([self.coeffs, other.coeffs])
+        shifted = [[(i + j, c, f, e) for j, c, f, e in b]
+                   for i in range(len(self.coeffs))]
+        return Polynomial(exact_linalg.product_sum(
+            [([a], shifted)], 1, len(self.coeffs) + len(other.coeffs) - 1)[0])
 
     __rmul__ = __mul__
 
@@ -250,22 +249,13 @@ class MatrixPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        """Coefficient c of A B is one product of [A_t ...] by
-        [B_(c-t); ...]; a scalar or Polynomial p multiplies as p I."""
+        """The product, as matpoly_product_sum([(self, other)]); a scalar or
+        Polynomial p multiplies as p I."""
         if isinstance(other, (int, Fraction, GaussianRational, Polynomial)):
             other = MatrixPolynomial.diagonal([other] * self.cols)
         elif not isinstance(other, MatrixPolynomial):
             return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        A, B = self._terms, other._terms
-        terms = []
-        for c in range(len(A) + len(B) - 1) if A and B else ():
-            ts = range(max(0, c - len(B) + 1), min(c, len(A) - 1) + 1)
-            terms.append(exact_linalg.mat_mul(
-                [[x for t in ts for x in A[t][i]] for i in range(self.rows)],
-                [row for t in ts for row in B[c - t]]))
-        return MatrixPolynomial._of(self.rows, other.cols, terms)
+        return matpoly_product_sum([(self, other)])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, Polynomial)):
@@ -274,7 +264,7 @@ class MatrixPolynomial:
 
     def derivative(self) -> "MatrixPolynomial":
         return MatrixPolynomial._of(self.rows, self.cols, [
-            [[x * k for x in row] for row in C]
+            [[ZERO if x.is_zero() else x * k for x in row] for row in C]
             for k, C in enumerate(self._terms[1:], 1)])
 
     def conjugate_transpose(self) -> "MatrixPolynomial":
@@ -302,6 +292,28 @@ class MatrixPolynomial:
         return "[" + "; ".join(rows) + "]"
 
 
+def matpoly_product_sum(pairs) -> MatrixPolynomial:
+    """The sum of the products A B over the pairs (A, B), all of one shape.
+
+    Coefficient c of the sum is one exact_linalg.product_sum over the pairs
+    (A_t, B_(c-t)), on the sparse forms of the A_t and B_t, each read once.
+    """
+    rows, cols = pairs[0][0].rows, pairs[0][1].cols
+    if any(A.cols != B.rows or (A.rows, B.cols) != (rows, cols)
+           for A, B in pairs):
+        raise ValueError("shape mismatch in matrix product")
+    sparse = [([exact_linalg.sparse_rows(C) for C in A._terms],
+               [exact_linalg.sparse_rows(C) for C in B._terms])
+              for A, B in pairs]
+    return MatrixPolynomial._of(rows, cols, [
+        exact_linalg.product_sum(
+            [(a[t], b[c - t]) for a, b in sparse
+             for t in range(max(0, c - len(b) + 1), min(c, len(a) - 1) + 1)],
+            rows, cols)
+        for c in range(max((len(a) + len(b) - 1 for a, b in sparse
+                            if a and b), default=0))])
+
+
 def mismatch(lhs: MatrixPolynomial, rhs: MatrixPolynomial, where=""):
     """None when the two matrices are equal, else a witness naming the first
     entry where they differ, with both sides."""
@@ -318,9 +330,9 @@ def matpoly_inverse_triangular(M: MatrixPolynomial) -> MatrixPolynomial:
     """Invert an upper triangular matrix polynomial whose diagonal entries are
     nonzero constants, so that the inverse X is again polynomial, as a power
     series: X_0 = M_0^{-1} and X_c = -X_0 (M_1 X_(c-1) + ... + M_t X_(c-t)),
-    t = min(c, deg M), the bracket one product of [M_1 ... M_t] by
-    [X_(c-1); ...; X_(c-t)].  X_c depends only on the deg M before it, so
-    the series ends after deg M zero coefficients in a row."""
+    t = min(c, deg M), one product_sum of the pairs (-X_0 M_s, X_(c-s)).
+    X_c depends only on the deg M before it, so the series ends after
+    deg M zero coefficients in a row."""
     if M.rows != M.cols:
         raise ValueError("inverse needs a square matrix")
     n, Ms, d = M.rows, M._terms, len(M._terms) - 1
@@ -332,11 +344,15 @@ def matpoly_inverse_triangular(M: MatrixPolynomial) -> MatrixPolynomial:
     if not n:
         return M
     X = [exact_linalg.invert(Ms[0])]
-    minus_X0, zeros = [[-x for x in row] for row in X[0]], 0
+    minus_X0 = [[-x for x in row] for row in X[0]]
+    # N[s-1] = -X_0 M_s, so X_c = N[0] X_(c-1) + ... + N[t-1] X_(c-t)
+    N = [exact_linalg.sparse_rows(exact_linalg.mat_mul(minus_X0, C))
+         for C in Ms[1:]]
+    sX, zeros = [exact_linalg.sparse_rows(X[0])], 0
     while zeros < d:
-        ts = range(1, min(len(X), d) + 1)
-        X.append(exact_linalg.mat_mul(minus_X0, exact_linalg.mat_mul(
-            [[x for t in ts for x in Ms[t][i]] for i in range(n)],
-            [row for t in ts for row in X[-t]])))
+        X.append(exact_linalg.product_sum(
+            [(N[s - 1], sX[-s]) for s in range(1, min(len(sX), d) + 1)],
+            n, n))
+        sX.append(exact_linalg.sparse_rows(X[-1]))
         zeros = zeros + 1 if X[-1] == [[ZERO] * n] * n else 0
     return MatrixPolynomial._of(n, n, X)

@@ -9,10 +9,10 @@ an exact rational, although only even ell correspond to K-types of SO(3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .gaussian import GaussianRational, ZERO
 from .polynomials import MatrixPolynomial
@@ -30,8 +30,7 @@ def _band(n, sub=(), diag=(), sup=()):
     return m
 
 
-@dataclass(frozen=True)
-class StructureSet:
+class StructureSet(NamedTuple):
     """Every constant matrix the operator and orthogonality layers need."""
 
     ell: int
@@ -56,7 +55,7 @@ class StructureSet:
     UstarU: MatrixPolynomial
 
     def names(self):
-        return tuple(f.name for f in fields(self) if f.name != "ell")
+        return self._fields[1:]
 
 
 @lru_cache(maxsize=None)
@@ -121,10 +120,9 @@ def build_L(ell: int, n: int) -> list:
              for j in range(ell)])
 
 
-@dataclass(frozen=True)
-class EigenLedger:
+class EigenLedger(NamedTuple):
     """Both index conventions for one spherical function, with its
-    eigenvalue pair, cross-checked at construction."""
+    eigenvalue pair, cross-checked by eigen_ledger."""
 
     ell: int
     w: int
@@ -134,15 +132,6 @@ class EigenLedger:
     lam: int
     mu: Fraction
 
-    def __post_init__(self):
-        half = Fraction(self.ell, 2)
-        assert self.m1 == self.w + half
-        assert self.m2 == half - self.k
-        # the same eigenvalues written in the representation parameters
-        assert self.lam == -(self.m1 - self.m2) * (self.m1 - self.m2 + 2)
-        assert self.mu == -Fraction(self.ell * (self.ell + 2), 4) \
-            + (self.m1 + 1) * self.m2
-
 
 def eigen_ledger(ell: int, w: int, k: int) -> EigenLedger:
     """Ledger from the polynomial-family indices (w, k)."""
@@ -151,6 +140,13 @@ def eigen_ledger(ell: int, w: int, k: int) -> EigenLedger:
     half = Fraction(ell, 2)
     lam = -(w + k) * (w + k + 2)
     mu = w * (half - k) - k * (half + 1)
-    return EigenLedger(ell=ell, w=w, k=k, m1=w + half, m2=half - k,
-                       lam=lam, mu=mu)
+    led = EigenLedger(ell=ell, w=w, k=k, m1=w + half, m2=half - k,
+                      lam=lam, mu=mu)
+    assert led.m1 == led.w + half
+    assert led.m2 == half - led.k
+    # the same eigenvalues written in the representation parameters
+    assert led.lam == -(led.m1 - led.m2) * (led.m1 - led.m2 + 2)
+    assert led.mu == -Fraction(led.ell * (led.ell + 2), 4) \
+        + (led.m1 + 1) * led.m2
+    return led
 

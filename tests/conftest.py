@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -45,7 +44,7 @@ def edit_result(monkeypatch, name, edit):
 def shift_A0(monkeypatch, name, shift):
     """Make `verify` build the named operator with shift(n) added to A0."""
     edit_result(monkeypatch, "build_operator", lambda op, op_name, ell: (
-        dataclasses.replace(op, A0=op.A0 + shift(ell + 1))
+        op._replace(A0=op.A0 + shift(ell + 1))
         if op_name == name else op))
 
 

@@ -150,6 +150,13 @@ PINNED_DIGESTS = {
         "033db7e8b1699994577bce93bb213afc513c01b57322f19183eb6b53858ab8c3",
     "family":
         "1f19cc1df7abfc164da2061b4d9216ad2bea0d53ec11e0c18e564e9e27296890",
+    # the two benchmark shapes, and the weight at three sample points
+    "gram (8,2)":
+        "038e5c2e056224c23f642d5e83f58365e5db85059bef6d8ec92339a59a6ec61e",
+    "gram (2,12)":
+        "b8120cb1d6aa915e23cb1639d2db31b6372115cb6abbaf5d5d074495a31fa19a",
+    "weight":
+        "bbcd668a1d07092ea2f1ddcaf17b85a81e1f2ea42d034675fda3d42d7e08bb74",
 }
 
 
@@ -188,8 +195,10 @@ class TestDeterminism:
 
     def test_outputs_pinned(self, capsys, tmp_path):
         # sha256 of exact outputs, taken before the scalar became an integer
-        # triple: the JSON writers read format_gaussian, the gram CSV reads
-        # the re and im properties, and none of them may change a byte
+        # triple (the gram digests at (8,2) and (2,12) and the weight digest
+        # before products summed on integers): the JSON writers read
+        # format_gaussian, the gram CSV reads the re and im properties, and
+        # none of them may change a byte
         def digest(*argvs):
             h = hashlib.sha256()
             for argv in argvs:
@@ -206,6 +215,10 @@ class TestDeterminism:
             "eigen": digest(("eigen", "--ell", "2", "--wmax", "3")),
             "reduce": digest(*(("reduce", "--ell", str(ell))
                                for ell in range(9))),
+            "gram (8,2)": digest(("gram", "--ell", "8", "--wmax", "2")),
+            "gram (2,12)": digest(("gram", "--ell", "2", "--wmax", "12")),
+            "weight": digest(("weight", "--ell", "6",
+                              "--sample", "-0.5,0.3,1")),
         }
         assert run(capsys, "family", "--ell", "3", "--wmax", "3",
                    "--out", str(tmp_path))[0] == 0

@@ -2,6 +2,8 @@
 reduced row echelon form, so each is checked against its defining equation
 on small random matrices, rank-deficient products (k x r)(r x n) included."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -111,6 +113,83 @@ def test_mat_mul_is_the_triple_sum(data):
         for i in range(n)]
 
 
+def elementwise_mat_mul(a, b):
+    """The test-only oracle: the product as GaussianRational multiply-adds,
+    every one reduced, skipping zero entries of both factors."""
+    supports = [[j for j, y in enumerate(r) if not y.is_zero()] for r in b]
+    out = [[ZERO] * len(b[0]) for _ in a]
+    for arow, orow in zip(a, out):
+        for x, brow, support in zip(arow, b, supports):
+            if x.is_zero():
+                continue
+            for j in support:
+                orow[j] = orow[j] + x * brow[j]
+    return out
+
+
+@st.composite
+def kernel_factors(draw, rows, cols):
+    """A rows x cols matrix whose entries are all real, all imaginary or
+    mixed, over one shared denominator or each over its own, with numerators
+    up to 2^40 so that sums carry; some rows, or the whole matrix, zero."""
+    kind = draw(st.sampled_from(["real", "imaginary", "mixed"]))
+    shared = draw(st.one_of(st.none(), st.integers(1, 12)))
+    top = draw(st.sampled_from([3, 2 ** 40]))
+
+    def entry():
+        part = st.integers(-top, top)
+        re = draw(part) if kind != "imaginary" else 0
+        im = draw(part) if kind != "real" else 0
+        d = shared or draw(st.integers(1, 12))
+        return GaussianRational(Fraction(re, d), Fraction(im, d))
+
+    if draw(st.integers(0, 7)) == 0:
+        return [[ZERO] * cols for _ in range(rows)]
+    return [[entry() for _ in range(cols)] if draw(st.integers(0, 3))
+            else [ZERO] * cols for _ in range(rows)]
+
+
+@st.composite
+def factor_pairs(draw):
+    n, m, p = draw(sizes), draw(sizes), draw(sizes)
+    return draw(kernel_factors(n, m)), draw(kernel_factors(m, p))
+
+
+g = GaussianRational
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_pairs())
+@example(([[g(2)]], [[g(Fraction(1, 3))]]))
+@example(([[ZERO, ZERO]], [[g(1)], [g(0, 1)]]))
+@example(([[g(0, Fraction(1, 2)), g(0, Fraction(1, 3))]],
+          [[g(0, 1)], [g(0, Fraction(2, 5))]]))
+@example(([[g(Fraction(1, 6)), g(Fraction(-1, 6))], [ZERO, ZERO]],
+          [[g(Fraction(5, 6)), ZERO], [g(Fraction(5, 6)), g(Fraction(1, 6))]]))
+def test_mat_mul_agrees_with_the_elementwise_oracle(ab):
+    # 1 x 1, an all-zero factor, purely imaginary entries over mixed
+    # denominators, and a zero row and an entry that cancels over equal ones
+    a, b = ab
+    assert el.mat_mul(a, b) == elementwise_mat_mul(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_product_sum_is_the_sum_of_products(data):
+    n, p = data.draw(sizes), data.draw(sizes)
+    pairs = []
+    for m in data.draw(st.lists(sizes, min_size=1, max_size=3)):
+        pairs.append((data.draw(kernel_factors(n, m)),
+                      data.draw(kernel_factors(m, p))))
+    expected = [[ZERO] * p for _ in range(n)]
+    for a, b in pairs:
+        expected = [[x + y for x, y in zip(r, s)]
+                    for r, s in zip(expected, elementwise_mat_mul(a, b))]
+    assert el.product_sum(
+        [(el.sparse_rows(a), el.sparse_rows(b)) for a, b in pairs],
+        n, p) == expected
+
+
 def test_invert_needs_constant_pivots():
     # rref divides by each pivot, which must be a scalar: a Polynomial pivot
     # is a TypeError, a constant one included
@@ -121,7 +200,8 @@ def test_invert_needs_constant_pivots():
 
 def test_kernel_sees_scalars_only(monkeypatch, capsys):
     # a polynomial matrix hands exact_linalg its coefficient matrices, so
-    # every product, adjoint and elimination runs on GaussianRational
+    # every product (each factor enters through sparse_rows), adjoint and
+    # elimination runs on GaussianRational
     def scalars_only(fn):
         def checked(*mats):
             assert all(isinstance(x, GaussianRational)
@@ -129,7 +209,7 @@ def test_kernel_sees_scalars_only(monkeypatch, capsys):
             return fn(*mats)
         return checked
 
-    for name in ("mat_mul", "mat_conj_transpose", "rref"):
+    for name in ("sparse_rows", "mat_mul", "mat_conj_transpose", "rref"):
         monkeypatch.setattr(el, name, scalars_only(getattr(el, name)))
     build_structures.cache_clear()
     build_weight.cache_clear()

@@ -7,8 +7,6 @@ fault tests of the layer modules, every row of `verify` has a targeted
 fault.
 """
 
-import dataclasses
-
 import pytest
 
 from sphmop import cli
@@ -21,21 +19,21 @@ from conftest import edit_result, failing_rows, shift_A0, unit_matrix
 def structure_plus(name, i, j):
     """Add E_ij to the structure matrix `name` that `verify` reads."""
     return lambda mp: edit_result(mp, "build_structures", lambda st, ell: (
-        dataclasses.replace(st, **{
+        st._replace(**{
             name: getattr(st, name) + unit_matrix(ell + 1, i, j)})))
 
 
 def member_times(w, factor):
     """Multiply Pt_w on the right by factor(n)."""
     return lambda mp: edit_result(mp, "build_family", lambda fam, ell, wmax: (
-        dataclasses.replace(fam, PwTilde={
+        fam._replace(PwTilde={
             **fam.PwTilde, w: fam.PwTilde[w] * factor(ell + 1)})))
 
 
 def Ebar_A2_plus_E01(mp):
     # shift_A0 reaches only A0
     edit_result(mp, "build_operator", lambda op, name, ell: (
-        dataclasses.replace(op, A2=op.A2 + unit_matrix(ell + 1, 0, 1))
+        op._replace(A2=op.A2 + unit_matrix(ell + 1, 0, 1))
         if name == "Ebar" else op))
 
 

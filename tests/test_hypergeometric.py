@@ -1,9 +1,10 @@
 """Terminating hypergeometric series, Gegenbauer, Hahn, and Racah values."""
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sphmop.gaussian import GaussianRational
 from sphmop.polynomials import Polynomial
@@ -28,6 +29,40 @@ def explicit_sum(numerator, denominator, z):
             * factorial(m))
         total = total + GaussianRational(c) * z ** m
     return total
+
+
+def fraction_series(numerator, denominator):
+    """The test-only oracle of series_coefficients: each coefficient the
+    previous one times the Fraction ratio prod (a + m) / ((m + 1) prod
+    (b + m)), then put over the lcm of their denominators."""
+    n = min(-int(a) for a in numerator
+            if a <= 0 and Fraction(a).denominator == 1)
+    coeffs = [Fraction(1)]
+    for m in range(n):
+        c = coeffs[-1] / (m + 1)
+        for a in numerator:
+            c *= a + m
+        for b in denominator:
+            c /= b + m
+        coeffs.append(c)
+    D = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (D // c.denominator) for c in coeffs), D
+
+
+@st.composite
+def series_parameters(draw):
+    """A terminating parameter set: a stop -n, more int or Fraction
+    numerator parameters, and denominator parameters that are Fractions,
+    positive integers, or negative integers -b with b >= n."""
+    n = draw(st.integers(0, 12))
+    ratio = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    numerator = [-n] + draw(st.lists(st.one_of(st.integers(-20, 20), ratio),
+                                     max_size=3))
+    denominator = draw(st.lists(st.one_of(
+        st.integers(1, 20), st.integers(n, n + 6).map(lambda b: -b),
+        ratio.filter(lambda b: b.denominator != 1)), max_size=3))
+    order = draw(st.permutations(range(len(numerator))))
+    return tuple(numerator[i] for i in order), tuple(denominator)
 
 
 def gegenbauer(n, lam):
@@ -88,6 +123,16 @@ class TestTerminatingSeries:
             for z in points:
                 assert hyp_terminating(numerator, denominator, z) \
                     == explicit_sum(numerator, denominator, z)
+
+    @settings(max_examples=300, deadline=None)
+    @given(series_parameters())
+    @example(((-3, Fraction(1, 2)), (-5, Fraction(-7, 3))))
+    @example(((-4, -6, 9), (-4,)))
+    @example(((0, Fraction(5, 2)), (-1,)))
+    def test_series_agrees_with_the_fraction_oracle(self, params):
+        # negative-integer denominators at and past the stop, Fraction
+        # parameters on both sides, and the empty series beyond p_0
+        assert series_coefficients(*params) == fraction_series(*params)
 
     def test_repeat_call_is_a_cache_hit(self):
         hyp_terminating([-6, 11], [Fraction(9, 2)], Fraction(1, 7))

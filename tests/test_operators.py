@@ -8,7 +8,7 @@ the package itself works in u only.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -212,7 +212,7 @@ class TestConjugation:
         # Ebar is the only first-order operator verify conjugates; a
         # nonzero A2 in its conjugate must fail the Etilde row
         edit_result(monkeypatch, "conjugate", lambda out, op, Psi, PsiInv: (
-            replace(out, A2=out.A2 + MatrixPolynomial.identity(Psi.rows))
+            out._replace(A2=out.A2 + MatrixPolynomial.identity(Psi.rows))
             if op.A2.is_zero() else out))
         assert verify_row(1, 1, "PsiInv*Ebar*Psi = Etilde") \
             == "A2 entry (0,0): 1 != 0"
@@ -262,7 +262,7 @@ class TestCommutation:
             corner = unit_matrix(ell + 1, 0, ell)
             for a, b in (("Dbar", "Ebar"), ("Dtilde", "Etilde")):
                 A, base = build_operator(a, ell), build_operator(b, ell)
-                for B in (base, replace(base, A2=base.A2 + corner)):
+                for B in (base, base._replace(A2=base.A2 + corner)):
                     witness = commutator_check(A, B)
                     assert witness == commutator_to_degree(A, B, 12)
                     assert (witness is None) == (B is base)

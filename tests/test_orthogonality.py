@@ -1,6 +1,5 @@
 """Weight matrix, exact inner products, symmetry, LDU, and commutant."""
 
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -154,7 +153,7 @@ class TestInnerProduct:
         # this row can catch it
         assert failing_rows(2, 1) == {}
         edit_result(monkeypatch, "build_family", lambda fam, ell, wmax: (
-            dataclasses.replace(fam, Pw={**fam.Pw, 1: fam.Pw[1] * 2})))
+            fam._replace(Pw={**fam.Pw, 1: fam.Pw[1] * 2})))
         assert failing_rows(2, 1) == {
             "trace normalization equals l+1": "w=1 entry (0,0): 2 != 1"}
 
@@ -171,7 +170,7 @@ class TestInnerProduct:
         # 2 Pt_1 keeps every other verify row; only the closed form in the
         # diagonal Gram row sees it
         edit_result(monkeypatch, "build_family", lambda fam, ell, wmax: (
-            dataclasses.replace(fam, PwTilde={
+            fam._replace(PwTilde={
                 **fam.PwTilde, 1: fam.PwTilde[1] * 2})))
         assert failing_rows(2, 1) == {
             "<Pt_w, Pt_w> diagonal and invertible":
@@ -243,8 +242,7 @@ class TestSymmetry:
                  for i in range(ell + 1)])
             for name in ("Dtilde", "Etilde"):
                 base = build_operator(name, ell)
-                for op in (base, dataclasses.replace(base,
-                                                     A0=base.A0 + corner)):
+                for op in (base, base._replace(A0=base.A0 + corner)):
                     ops = [apply(op, F) for F in members]
                     lhs = [[cell(ops[a], members[b], W)
                             for b in ws] for a in ws]
@@ -463,8 +461,8 @@ class TestCommutant:
         # the commutant row fails on the off-diagonal block alone
         def unreduced(W):
             dim, basis, red = commutant(W)
-            return dim, basis, dataclasses.replace(
-                red, R=MatrixPolynomial.identity(W.rows))
+            return dim, basis, red._replace(
+                R=MatrixPolynomial.identity(W.rows))
 
         monkeypatch.setattr(cli, "commutant", unreduced)
         assert failing_rows(2, 1) == {

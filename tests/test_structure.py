@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -99,7 +98,7 @@ class TestHahnDiagonalization:
                                             label, witness):
         # one entry of one structure matrix off by 1 fails only its row
         edit_result(monkeypatch, "build_structures", lambda st, ell: (
-            dataclasses.replace(st, **{
+            st._replace(**{
                 name: getattr(st, name) + unit_matrix(ell + 1, *at)})))
         assert failing_rows(2, 1) == {label: witness}
 
