@@ -4,7 +4,7 @@ and the orthogonal family P_w~ = Psi^{-1} P_w.
 The a-vectors are produced by two independent code paths, a three-term
 recursion and a Racah closed form, and the tests cross-check them entry by
 entry; neither path is trusted alone.  P_w reads its entries from one
-normalised Gegenbauer table; eval_H sums them as 2F1 series at a point.
+Gegenbauer table: the 2F1 series that eval_H sums at a point, expanded in u.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .gaussian import GaussianRational, ZERO, ONE
 from .polynomials import (Polynomial, MatrixPolynomial,
                           matpoly_inverse_triangular)
-from .hypergeometric import hyp_terminating, racah_value
+from .hypergeometric import hyp_terminating, racah_value, series_coefficients
 from .structure import build_L, build_structures, eigen_ledger
 
 
@@ -74,20 +74,26 @@ def coeffs_by_racah(ell: int, w: int, k: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _gegenbauer_parameters(lam: int, m: int) -> tuple:
+    """The 2F1 parameters of normalised_gegenbauer, one key for eval_H too."""
+    return (-m, m + 2 * lam), (Fraction(2 * lam + 1, 2),)
+
+
+@lru_cache(maxsize=None)
 def normalised_gegenbauer(lam: int, m: int) -> Polynomial:
-    """C^lam_m(u) / C^lam_m(1) = 2F1(-m, m+2lam; lam+1/2; (1-u)/2) by the
-    recurrence DLMF 18.9.1 normalised at u = 1; the lower degrees are cached
-    first, upward, so no call recurses more than one level."""
+    """C^lam_m(u) / C^lam_m(1) = 2F1(-m, m+2lam; lam+1/2; (1-u)/2): its
+    cached series p_s / D expanded in u, each coefficient over D 2^m."""
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    if m < 2:
-        return Polynomial([0, 1] if m else [1])
-    for d in range(2, m):
-        normalised_gegenbauer(lam, d)
-    return (Polynomial.variable() * normalised_gegenbauer(lam, m - 1)
-            * Fraction(2 * (m + lam - 1), m + 2 * lam - 1)
-            - normalised_gegenbauer(lam, m - 2)
-            * Fraction(m - 1, m + 2 * lam - 1))
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    p, D = series_coefficients(*_gegenbauer_parameters(lam, m))
+    acc = [0] * (m + 1)
+    for s in range(m, -1, -1):   # acc <- acc (1 - u) + p_s 2^(m-s)
+        for r in range(m - s, 0, -1):
+            acc[r] -= acc[r - 1]
+        acc[0] += p[s] << (m - s)
+    return Polynomial([Fraction(c, D << m) for c in acc])
 
 
 def build_Pw(ell: int, w: int) -> MatrixPolynomial:
@@ -124,16 +130,12 @@ def build_family(ell: int, w_max: int) -> FamilyPackage:
                          PwTilde=PwTilde)
 
 
-# ell -> the Hahn matrix U of build_structures(ell) with complex entries,
-# converted once per ell (a key on the structure set itself would hash
-# every one of its matrices on each lookup)
-_HAHN_COMPLEX = {}
-
-
 @lru_cache(maxsize=None)
-def _lower_parameter(j: int) -> tuple:
-    """The lower parameter (j + 3/2,) of the 2F1 of entry j in eval_H."""
-    return (Fraction(2 * j + 3, 2),)
+def _hahn_complex(ell: int) -> tuple:
+    """U of build_structures(ell) as complex, keyed on ell: a key on the
+    structure set would hash every one of its matrices on each lookup."""
+    return tuple(tuple(complex(x) for x in row)
+                 for row in build_structures(ell).U.constant_value())
 
 
 def eval_H(ell: int, w: int, k: int, u: float):
@@ -150,14 +152,11 @@ def eval_H(ell: int, w: int, k: int, u: float):
     a = coeffs_by_recursion(ell, w, k)
     # one GaussianRational for every entry's sum, so none converts it again
     z = GaussianRational.of((1 - Fraction(u)) / 2)
-    p = [complex(x * hyp_terminating([j - w - k, w + k + j + 2],
-                                     _lower_parameter(j), z))
+    p = [complex(x * hyp_terminating(
+             *_gegenbauer_parameters(j + 1, w + k - j), z))
          if not x.is_zero() else 0j for j, x in enumerate(a)]
     t = [(1.0 - u * u) ** (j / 2.0) for j in range(ell + 1)]
-    st = build_structures(ell)
-    U = _HAHN_COMPLEX.get(ell)
-    if U is None:
-        U = _HAHN_COMPLEX[ell] = tuple(tuple(complex(x) for x in row)
-                                       for row in st.U.constant_value())
+    build_structures(ell)   # a cache hit, kept for perfbench's phi span
+    U = _hahn_complex(ell)
     return [sum(U[r][j] * t[j] * p[j] for j in range(ell + 1))
             for r in range(ell + 1)]

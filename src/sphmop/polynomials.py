@@ -263,9 +263,10 @@ class MatrixPolynomial:
         return NotImplemented
 
     def derivative(self) -> "MatrixPolynomial":
+        ks = map(GaussianRational, range(1, len(self._terms)))  # once per k
         return MatrixPolynomial._of(self.rows, self.cols, [
-            [[ZERO if x.is_zero() else x * k for x in row] for row in C]
-            for k, C in enumerate(self._terms[1:], 1)])
+            [[ZERO if x.is_zero() else x * K for x in row] for row in C]
+            for K, C in zip(ks, self._terms[1:])])
 
     def conjugate_transpose(self) -> "MatrixPolynomial":
         return MatrixPolynomial._of(self.cols, self.rows, [

@@ -107,6 +107,9 @@ class TestCoefficients:
             coeffs_by_racah(2, 0, 3)
         with pytest.raises(ValueError):
             normalised_gegenbauer(1, -1)
+        # a negative lam would stop the 2F1 series before degree m
+        with pytest.raises(ValueError):
+            normalised_gegenbauer(-1, 3)
 
 
 class TestPackages:
@@ -159,6 +162,41 @@ class TestPackages:
         build_Pw(4, 3)
         after = normalised_gegenbauer.cache_info()
         assert after.hits > before.hits and after.misses == before.misses
+
+    def test_gegenbauer_table_matches_explicit_sum(self):
+        # the table against the explicit sum normalised at u = 1; lam = 0 is
+        # the Chebyshev limit T_m = (C^1_m - C^1_(m-2)) / 2
+        for lam in (0, 1, 2, 13, 25):
+            for m in (0, 1, 2, 17, 48):
+                C = (gegenbauer(m, lam) if lam else
+                     gegenbauer(m, 1) - gegenbauer(m - 2, 1))
+                assert normalised_gegenbauer(lam, m) == C * (ONE / C(1))
+
+    def test_gegenbauer_table_adds_no_polynomials(self, monkeypatch):
+        # the table is the 2F1 series expanded on integers, not a recurrence
+        # in Polynomial arithmetic
+        def refuse(*args):
+            raise AssertionError("Polynomial +, - or negation called")
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                     "__neg__"):
+            monkeypatch.setattr(Polynomial, name, refuse)
+        normalised_gegenbauer.cache_clear()
+        P = build_Pw(6, 8)
+        monkeypatch.undo()
+        assert P[0, 0] == normalised_gegenbauer(1, 8)
+
+    def test_package_and_eval_H_share_one_series(self):
+        # after build_Pw, eval_H sums every entry from a series build_Pw built
+        build_structures(5)
+        normalised_gegenbauer.cache_clear()
+        hypergeometric.series_coefficients.cache_clear()
+        build_Pw(5, 9)
+        before = hypergeometric.series_coefficients.cache_info()
+        for k in range(6):
+            eval_H(5, 9, k, 0.3)
+        after = hypergeometric.series_coefficients.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
 
     def test_gegenbauer_table_recurses_one_level(self):
         # degree 150 of a fresh table fits under a recursion limit a few
