@@ -102,8 +102,9 @@ def inner_product_against_image(partners, images):
     for Y in images:
         # read once; each product reads only the rows that Gs's columns reach
         Ys = exact_linalg.sparse_rows(Y)
-        T.append([MatrixPolynomial(exact_linalg.product_sum(
-            [(Gs, Ys)], len(Gs), len(Y[0]))) for Gs in adjoints])
+        T.append([MatrixPolynomial._of(len(Gs), len(Y[0]), [
+            exact_linalg.product_sum([(Gs, Ys)], len(Gs), len(Y[0]))])
+            for Gs in adjoints])
     return T
 
 

@@ -1,6 +1,8 @@
 """Exact univariate polynomials and matrices of them over the Gaussian rationals.
 
-Every polynomial is in the coordinate u on [-1, 1].
+Every polynomial is in the coordinate u on [-1, 1].  A Polynomial is the
+1 x 1 MatrixPolynomial, so both are added, multiplied, differentiated and
+evaluated by one implementation.
 """
 
 from __future__ import annotations
@@ -10,134 +12,7 @@ from fractions import Fraction
 from . import exact_linalg
 from .gaussian import GaussianRational, ZERO
 
-
-class Polynomial:
-    """Univariate polynomial over GaussianRational, lowest degree first.
-
-    Trailing zero coefficients are stripped so that equal polynomials compare
-    equal structurally.  The zero polynomial has an empty coefficient list and
-    degree() returns None for it.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [GaussianRational.of(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    @staticmethod
-    def constant(c) -> "Polynomial":
-        return Polynomial([c])
-
-    @staticmethod
-    def zero() -> "Polynomial":
-        return Polynomial([])
-
-    @staticmethod
-    def variable() -> "Polynomial":
-        return Polynomial([0, 1])
-
-    def degree(self):
-        """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def coefficient(self, k: int) -> GaussianRational:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
-
-    def constant_term(self) -> GaussianRational:
-        return self.coefficient(0)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Polynomial.constant(other)
-        elif not isinstance(other, Polynomial):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Polynomial)
-                       else -GaussianRational.of(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = GaussianRational.of(other)
-            return Polynomial([a * c for a in self.coeffs])
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero()
-        # the row of our coefficients times the rows u^i other, i = 0, 1, ...
-        a, b = exact_linalg.sparse_rows([self.coeffs, other.coeffs])
-        shifted = [[(i + j, c, f, e) for j, c, f, e in b]
-                   for i in range(len(self.coeffs))]
-        return Polynomial(exact_linalg.product_sum(
-            [([a], shifted)], 1, len(self.coeffs) + len(other.coeffs) - 1)[0])
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(
-            [self.coeffs[k] * k for k in range(1, len(self.coeffs))]
-        )
-
-    def __call__(self, x):
-        """Evaluate by Horner at an exact point: an int, a Fraction or a
-        GaussianRational (anything else raises TypeError)."""
-        x = GaussianRational.of(x)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        # a constant polynomial equals its scalar, so it hashes like it
-        if self.is_constant():
-            return hash(self.constant_term())
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else f"({c})*"
-                pw = "u" if k == 1 else f"u^{k}"
-                terms.append(head + pw)
-        return " + ".join(terms)
+_SCALARS = (int, Fraction, GaussianRational)
 
 
 class MatrixPolynomial:
@@ -157,7 +32,8 @@ class MatrixPolynomial:
         for row in entries:
             if len(row) != cols:
                 raise ValueError("ragged matrix")
-            grid.append([e.coeffs if isinstance(e, Polynomial)
+            grid.append([[C[0][0] for C in e._terms]
+                         if isinstance(e, Polynomial)
                          else (GaussianRational.of(e),) for e in row])
         deg = max((len(cs) for row in grid for cs in row), default=0)
         self._set(rows, cols, [
@@ -171,15 +47,15 @@ class MatrixPolynomial:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_terms", tuple(terms))
 
-    @staticmethod
-    def _of(rows, cols, terms) -> "MatrixPolynomial":
+    @classmethod
+    def _of(cls, rows, cols, terms):
         # the matrix with the coefficient matrices `terms`, a list it owns
-        M = object.__new__(MatrixPolynomial)
+        M = object.__new__(cls)
         M._set(rows, cols, terms)
         return M
 
     def __setattr__(self, name, value):
-        raise AttributeError("MatrixPolynomial is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @staticmethod
     def from_function(rows, cols, fn) -> "MatrixPolynomial":
@@ -203,9 +79,9 @@ class MatrixPolynomial:
              for i, v in enumerate(values)]
         )
 
-    def __getitem__(self, ij) -> Polynomial:
+    def __getitem__(self, ij) -> "Polynomial":
         i, j = ij
-        return Polynomial([C[i][j] for C in self._terms])
+        return Polynomial._of(1, 1, [[[C[i][j]]] for C in self._terms])
 
     @property
     def entries(self):
@@ -221,6 +97,7 @@ class MatrixPolynomial:
         return self.coefficient_matrix(0)
 
     def degree(self):
+        """Degree, or None for the zero matrix."""
         return len(self._terms) - 1 if self._terms else None
 
     def coefficient_matrix(self, k: int):
@@ -230,7 +107,8 @@ class MatrixPolynomial:
         return [[ZERO] * self.cols for _ in range(self.rows)]
 
     def __add__(self, other):
-        if not isinstance(other, MatrixPolynomial):
+        # exactly one type: a Polynomial and a 1 x 1 matrix do not add
+        if type(other) is not type(self):
             return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
@@ -240,7 +118,7 @@ class MatrixPolynomial:
         for k, B in enumerate(short):
             terms[k] = [[x + y for x, y in zip(ra, rb)]
                         for ra, rb in zip(terms[k], B)]
-        return MatrixPolynomial._of(self.rows, self.cols, terms)
+        return type(self)._of(self.rows, self.cols, terms)
 
     def __neg__(self):
         return self * -1
@@ -251,34 +129,40 @@ class MatrixPolynomial:
     def __mul__(self, other):
         """The product, as matpoly_product_sum([(self, other)]); a scalar or
         Polynomial p multiplies as p I."""
-        if isinstance(other, (int, Fraction, GaussianRational, Polynomial)):
+        if isinstance(other, (*_SCALARS, Polynomial)):
             other = MatrixPolynomial.diagonal([other] * self.cols)
         elif not isinstance(other, MatrixPolynomial):
             return NotImplemented
         return matpoly_product_sum([(self, other)])
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, Polynomial)):
+        if isinstance(other, (*_SCALARS, Polynomial)):
             return self * other
         return NotImplemented
 
     def derivative(self) -> "MatrixPolynomial":
         ks = map(GaussianRational, range(1, len(self._terms)))  # once per k
-        return MatrixPolynomial._of(self.rows, self.cols, [
+        return type(self)._of(self.rows, self.cols, [
             [[ZERO if x.is_zero() else x * K for x in row] for row in C]
             for K, C in zip(ks, self._terms[1:])])
 
     def conjugate_transpose(self) -> "MatrixPolynomial":
-        return MatrixPolynomial._of(self.cols, self.rows, [
+        return type(self)._of(self.cols, self.rows, [
             exact_linalg.mat_conj_transpose(C) for C in self._terms])
 
     def evaluate_exact(self, x):
-        """Evaluation at an exact point; nested list of GaussianRational."""
-        return [[self[i, j](x) for j in range(self.cols)]
-                for i in range(self.rows)]
+        """Evaluation at an exact point (an int, a Fraction or a
+        GaussianRational; anything else raises TypeError) by Horner's rule on
+        the coefficient matrices; nested list of GaussianRational."""
+        x = GaussianRational.of(x)
+        acc = [[ZERO] * self.cols for _ in range(self.rows)]
+        for C in reversed(self._terms):
+            acc = [[c if a.is_zero() else a * x + c for a, c in zip(ra, rc)]
+                   for ra, rc in zip(acc, C)]
+        return acc
 
     def __eq__(self, other):
-        if not isinstance(other, MatrixPolynomial):
+        if type(other) is not type(self):
             return NotImplemented
         return (self.rows, self.cols, self._terms) \
             == (other.rows, other.cols, other._terms)
@@ -291,6 +175,96 @@ class MatrixPolynomial:
         rows = [", ".join(repr(self[i, j]) for j in range(self.cols))
                 for i in range(self.rows)]
         return "[" + "; ".join(rows) + "]"
+
+
+class Polynomial(MatrixPolynomial):
+    """Univariate polynomial over GaussianRational: the 1 x 1
+    MatrixPolynomial, its coefficients the entries [[c_k]] of the coefficient
+    matrices, lowest degree first.  A scalar operand acts as the constant
+    polynomial, so a constant polynomial equals its scalar.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs):
+        self._set(1, 1, [[[GaussianRational.of(c)]] for c in coeffs])
+
+    @property
+    def coeffs(self):
+        """The coefficients, lowest degree first; () for zero."""
+        return tuple(C[0][0] for C in self._terms)
+
+    @staticmethod
+    def constant(c) -> "Polynomial":
+        return Polynomial([c])
+
+    @staticmethod
+    def zero() -> "Polynomial":
+        return Polynomial([])
+
+    @staticmethod
+    def variable() -> "Polynomial":
+        return Polynomial([0, 1])
+
+    def is_constant(self) -> bool:
+        return len(self._terms) <= 1
+
+    def coefficient(self, k: int) -> GaussianRational:
+        return self._terms[k][0][0] if 0 <= k < len(self._terms) else ZERO
+
+    def constant_term(self) -> GaussianRational:
+        return self.coefficient(0)
+
+    def __add__(self, other):
+        if isinstance(other, _SCALARS):
+            other = Polynomial.constant(other)
+        return super().__add__(other)
+
+    __radd__ = __add__
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            c = GaussianRational.of(other)
+            return Polynomial._of(1, 1, [[[a * c]] for [[a]] in self._terms])
+        if type(other) is not Polynomial:
+            return NotImplemented
+        return Polynomial._of(1, 1, list(
+            matpoly_product_sum([(self, other)])._terms))
+
+    __rmul__ = __mul__
+
+    def __call__(self, x):
+        """The value at an exact point, as evaluate_exact."""
+        return self.evaluate_exact(x)[0][0]
+
+    def __eq__(self, other):
+        if isinstance(other, _SCALARS):
+            other = Polynomial.constant(other)
+        return super().__eq__(other)
+
+    def __hash__(self):
+        # a constant polynomial equals its scalar, so it hashes like it
+        if self.is_constant():
+            return hash(self.constant_term())
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        if self.is_zero():
+            return "0"
+        terms = []
+        for k, c in enumerate(self.coeffs):
+            if c.is_zero():
+                continue
+            if k == 0:
+                terms.append(str(c))
+            else:
+                head = "" if c == 1 else f"({c})*"
+                pw = "u" if k == 1 else f"u^{k}"
+                terms.append(head + pw)
+        return " + ".join(terms)
 
 
 def matpoly_product_sum(pairs) -> MatrixPolynomial:

@@ -98,9 +98,11 @@ def build_structures(ell: int) -> StructureSet:
     U = MatrixPolynomial(
         [[hahn_value(k, j, ell) for k in range(n)] for j in range(n)]
     )
-    Uinv = MatrixPolynomial(exact_linalg.invert(U.constant_value()))
+    # fresh canonical scalar matrices: the new constants own them as they are
+    Uinv = MatrixPolynomial._of(n, n, [
+        exact_linalg.invert(U.constant_value())])
     return StructureSet(ell=ell, U=U, Uinv=Uinv, **{
-        name: MatrixPolynomial(m) for name, m in bands.items()})
+        name: MatrixPolynomial._of(n, n, [m]) for name, m in bands.items()})
 
 
 def build_L(ell: int, n: int) -> list:

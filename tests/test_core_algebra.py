@@ -1,5 +1,6 @@
 """Exact scalar, polynomial, and matrix-polynomial algebra."""
 
+import functools
 import operator
 from fractions import Fraction
 from itertools import permutations
@@ -159,6 +160,11 @@ class TestGaussianRational:
         assert len({GaussianRational(3), 3, Fraction(3)}) == 1
         assert hash(GaussianRational(Fraction(1, 2))) == hash(Fraction(1, 2))
         assert len({Polynomial.constant(3), 3}) == 1
+        # a Polynomial is never equal to the 1 x 1 matrix holding it
+        for p in (Polynomial([1, 2]), Polynomial.constant(3)):
+            M = MatrixPolynomial([[p]])
+            assert not M == p and not p == M
+            assert len({p, M}) == 2
 
 
 class TestIntegerHorner:
@@ -184,6 +190,48 @@ class TestIntegerHorner:
             acc = acc * z + FractionPair(c)
         assert_matches(integer_horner(p, D, GaussianRational(re, im)),
                        acc / FractionPair(D))
+
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+small_gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
+# zero coefficients included, so zero polynomials and trailing zeros occur
+coefficient_lists = st.lists(st.one_of(st.just(ZERO), small_gaussians),
+                             max_size=4)
+
+
+# the coefficient-list model of a polynomial, lowest degree first with no
+# trailing zero, in GaussianRational arithmetic: the oracle for Polynomial
+# and for evaluate_exact
+def model_strip(cs):
+    cs = [GaussianRational.of(c) for c in cs]
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def model_add(a, b):
+    n = max(len(a), len(b))
+    return model_strip([(a[k] if k < len(a) else ZERO)
+                        + (b[k] if k < len(b) else ZERO) for k in range(n)])
+
+
+def model_mul(a, b):
+    out = [ZERO] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return model_strip(out)
+
+
+def model_derivative(a):
+    return model_strip([a[k] * k for k in range(1, len(a))])
+
+
+def model_eval(a, x):
+    acc = ZERO
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
 
 
 class TestPolynomial:
@@ -218,6 +266,36 @@ class TestPolynomial:
         assert q == Polynomial([0, 1])    # 1 - 2(1-u)/2 = u
         assert q(Fraction(1, 3)) == GaussianRational(Fraction(1, 3))
 
+    @settings(max_examples=100, deadline=None)
+    @given(coefficient_lists, coefficient_lists, st.integers(0, 4),
+           st.lists(st.lists(coefficient_lists, min_size=3, max_size=3),
+                    min_size=1, max_size=3),
+           st.integers(-4, 4), small_fractions, small_gaussians)
+    @example([], [1, 2], 0, [[[], [1], [0, 0, 3]]], 0, Fraction(1, 2), I)
+    @example([1, 2, 3], [4], 1, [[[5, I, 1], [], [2]], [[], [], []]], -3,
+             Fraction(-2, 3), GaussianRational(1, -1))
+    def test_matches_coefficient_list_model(self, a, b, cut, grid, n, f, z):
+        p, q = Polynomial(a), Polynomial(b)
+        ma, mb = model_strip(a), model_strip(b)
+        # r agrees with -p from degree `cut` up, so p + r loses its top
+        mr = model_strip([*(mb + [ZERO] * cut)[:cut], *(-c for c in ma[cut:])])
+        r = Polynomial(mr)
+        assert list(p.coeffs) == ma and p.degree() == (len(ma) - 1
+                                                       if ma else None)
+        assert p.is_zero() == (not ma)
+        assert list((p + q).coeffs) == model_add(ma, mb)
+        assert list((p + r).coeffs) == model_add(ma, mr)
+        assert len((p + r).coeffs) <= cut
+        assert list((p - q).coeffs) == model_add(ma, [-c for c in mb])
+        assert list((p * q).coeffs) == model_mul(ma, mb)
+        assert list(p.derivative().coeffs) == model_derivative(ma)
+        M = MatrixPolynomial([[Polynomial(cs) for cs in row] for row in grid])
+        for x in (n, f, z):
+            assert p(x) == model_eval(ma, x)
+            assert M.evaluate_exact(x) == [
+                [model_eval(model_strip(cs), x) for cs in row]
+                for row in grid]
+
 
 def _upper_triangular(n, coeffs):
     """Build an n x n upper triangular matrix with nonzero constant
@@ -236,13 +314,6 @@ def _upper_triangular(n, coeffs):
                 row.append(Polynomial([next(it), next(it)]))
         rows.append(row)
     return MatrixPolynomial(rows)
-
-
-small_gaussians = st.builds(
-    GaussianRational,
-    st.fractions(min_value=-6, max_value=6, max_denominator=4),
-    st.fractions(min_value=-6, max_value=6, max_denominator=4),
-)
 
 
 @st.composite
@@ -273,9 +344,11 @@ def product_pairs(draw):
 
 
 def oracle_product(A, B):
-    """sum_t A[i,t] B[t,j] entry by entry, in Polynomial arithmetic."""
-    return MatrixPolynomial.from_function(A.rows, B.cols, lambda i, j: sum(
-        (A[i, t] * B[t, j] for t in range(A.cols)), Polynomial.zero()))
+    """sum_t A[i,t] B[t,j] entry by entry, on coefficient lists."""
+    return MatrixPolynomial.from_function(A.rows, B.cols, lambda i, j: (
+        Polynomial(functools.reduce(model_add, (
+            model_mul(A[i, t].coeffs, B[t, j].coeffs)
+            for t in range(A.cols)), []))))
 
 
 def long_series_examples(test):
@@ -366,6 +439,17 @@ class TestMatrixPolynomial:
             M + 1
         with pytest.raises(TypeError):
             M * [[1, 0], [0, 1]]
+        # a Polynomial is the 1 x 1 MatrixPolynomial, yet neither adds to a
+        # matrix, not even a 1 x 1 one, and its own operations stay scalar
+        one_by_one = MatrixPolynomial([[p]])
+        for mixed in (lambda: M + p, lambda: p + M, lambda: M - p,
+                      lambda: p - M, lambda: one_by_one + p):
+            with pytest.raises(TypeError):
+                mixed()
+        for q in (-p, p - 1, p.derivative(), p * p):
+            assert type(q) is Polynomial
+        with pytest.raises(AttributeError, match="^Polynomial is immutable"):
+            setattr(p, "coeffs", ())
 
     @settings(max_examples=40, deadline=None)
     @given(product_pairs())
