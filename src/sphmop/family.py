@@ -12,9 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
+from operator import mul
 from typing import NamedTuple
 
-from .gaussian import GaussianRational, ZERO, ONE
+from .gaussian import GaussianRational, ZERO, ONE, complex_product
 from .polynomials import (Polynomial, MatrixPolynomial,
                           matpoly_inverse_triangular)
 from .hypergeometric import hyp_terminating, racah_value, series_coefficients
@@ -150,13 +151,13 @@ def eval_H(ell: int, w: int, k: int, u: float):
     if not -1.0 <= u <= 1.0:
         raise ValueError("u must lie in [-1, 1]")
     a = coeffs_by_recursion(ell, w, k)
-    # one GaussianRational for every entry's sum, so none converts it again
-    z = GaussianRational.of((1 - Fraction(u)) / 2)
-    p = [complex(x * hyp_terminating(
+    # one GaussianRational for every entry's sum, so none converts it again;
+    # u = n / d gives (1 - u) / 2 = (d - n) / 2d
+    n, d = u.as_integer_ratio()
+    z = GaussianRational.of(Fraction(d - n, 2 * d))
+    p = [complex_product(x, hyp_terminating(
              *_gegenbauer_parameters(j + 1, w + k - j), z))
          if not x.is_zero() else 0j for j, x in enumerate(a)]
     t = [(1.0 - u * u) ** (j / 2.0) for j in range(ell + 1)]
     build_structures(ell)   # a cache hit, kept for perfbench's phi span
-    U = _hahn_complex(ell)
-    return [sum(U[r][j] * t[j] * p[j] for j in range(ell + 1))
-            for r in range(ell + 1)]
+    return [sum(map(mul, map(mul, U_r, t), p)) for U_r in _hahn_complex(ell)]

@@ -181,6 +181,16 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return z
 
 
+def complex_product(x: GaussianRational, y: GaussianRational) -> complex:
+    """complex(x * y) without reducing the product: int true division
+    rounds correctly whatever factor numerator and denominator share, so
+    the value is the same bit for bit and no gcd is taken."""
+    a, b, d = x._a, x._b, x._d
+    c, f, e = y._a, y._b, y._d
+    de = d * e
+    return complex((a * c - b * f) / de, (a * f + b * c) / de)
+
+
 def integer_horner(p, D: int, z) -> GaussianRational:
     """(p_0 + p_1 z + ... + p_n z^n) / D for integers p_m and D > 0, at a
     scalar z = (a + b*i) / d.  Horner's rule runs on the Gaussian integer

@@ -13,7 +13,9 @@ operations and 1e-7 for composites, on unit-scale matrices.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, sqrt
+from itertools import chain
+from math import comb, isfinite, sqrt
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -43,8 +45,9 @@ _TOL = 1e-9   # the single-operation tolerance above
 
 
 def check_rotation(g, n: int) -> np.ndarray:
-    """g as an n x n float array, if it is a rotation within _TOL.  The one
-    input gate of this layer: every function taking a rotation calls it."""
+    """g as an n x n float array, n = 3 or 4, if it is a rotation within
+    _TOL.  The one input gate of this layer: every function taking a
+    rotation calls it."""
     try:
         m = np.asarray(g)
     except (TypeError, ValueError):   # ragged
@@ -58,13 +61,39 @@ def check_rotation(g, n: int) -> np.ndarray:
                 for x in np.asarray(g, dtype=object).flat))):
         raise ValueError(f"expected a {n}x{n} nested list of numbers")
     g = m.astype(float, copy=False)
-    if not np.all(np.isfinite(g)):
+    # the numeric checks run on Python floats: at n <= 4 numpy's dispatch
+    # costs more than the arithmetic
+    rows = g.tolist()
+    if not all(map(isfinite, chain.from_iterable(rows))):
         raise ValueError("matrix has a non-finite entry")
-    if np.max(np.abs(g.T @ g - np.eye(n))) > _TOL:
-        raise ValueError("matrix is not orthogonal within tolerance")
-    if abs(np.linalg.det(g) - 1.0) > _TOL:
+    # max |g^T g - I| over i <= j; `not <=` also rejects a NaN that an
+    # overflowing product can leave
+    cols = list(zip(*rows))
+    for i, ci in enumerate(cols):
+        for j in range(i, n):
+            if not abs(sum(map(mul, ci, cols[j])) - (i == j)) <= _TOL:
+                raise ValueError("matrix is not orthogonal within tolerance")
+    if not abs(_det(rows) - 1.0) <= _TOL:
         raise ValueError("determinant is not 1 within tolerance")
     return g
+
+
+def _det(rows: list) -> float:
+    """The determinant of a 3 x 3 or 4 x 4 matrix of floats: by cofactors
+    of the first row at n = 3, and at n = 4 by the Laplace expansion in the
+    2 x 2 minors of rows (0, 1) times the complementary minors of rows
+    (2, 3), with the sign (-1)^(1 + p + q) of columns (p, q)."""
+    if len(rows) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), \
+        (d0, d1, d2, d3) = rows
+    return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
 
 
 def wedge_cover(g) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +161,6 @@ class _SymmetricPower(NamedTuple):
     targets: np.ndarray   # the flat positions 2(i n + j) and 2(i n + j) + 1
                           # of each term's real and imaginary part in the
                           # n x n output viewed as floats
-    ratio: np.ndarray     # C(ell, j) / C(ell, i) at (i, j)
 
 
 @lru_cache(maxsize=None)
@@ -150,9 +178,8 @@ def _symmetric_power(ell: int) -> _SymmetricPower:
                 weights.append(comb(ell - j, s) * comb(j, t) * binom[j]
                                / binom[i])
                 targets += [2 * (i * n + j), 2 * (i * n + j) + 1]
-    ratio = np.array([[bj / bi for bj in binom] for bi in binom])
     return _SymmetricPower(np.array(powers).T.copy(), np.array(weights),
-                           np.array(targets), ratio)
+                           np.array(targets))
 
 
 def rep_exp(rep: RepSO3, k: np.ndarray) -> np.ndarray:
@@ -168,16 +195,39 @@ def rep_exp(rep: RepSO3, k: np.ndarray) -> np.ndarray:
     the basis C(ell, j) x^(ell-j) y^j, summed term by term from the table
     of _symmetric_power.
     """
-    w, x, y, z = _quaternion(check_rotation(k, 3))
-    n = rep.ell + 1
-    sym = _symmetric_power(rep.ell)
-    abcd = np.array([complex(w, -x), complex(-y, z), complex(y, z),
-                     complex(w, x)])
-    table = np.power(abcd, np.arange(n)[:, None]).ravel()
+    return _power(rep.ell, _su2(check_rotation(k, 3)))
+
+
+def _su2(k: np.ndarray) -> tuple:
+    """The entries (a, b, c, d) of pi_1(k) = [[a, b], [c, d]] as rep_exp
+    lifts it, for a rotation k already gated."""
+    w, x, y, z = _quaternion(k)
+    return complex(w, -x), complex(-y, z), complex(y, z), complex(w, x)
+
+
+def _power(ell: int, abcd: tuple) -> np.ndarray:
+    """The ell-th symmetric power of [[a, b], [c, d]], summed term by term
+    from the table of _symmetric_power."""
+    n = ell + 1
+    sym = _symmetric_power(ell)
+    table = np.power(np.array(abcd), np.arange(n)[:, None]).ravel()
     a, b, c, d = sym.index
     terms = sym.weights * table[a] * table[b] * table[c] * table[d]
     return np.bincount(sym.targets, weights=terms.view(float),
                        minlength=2 * n * n).view(complex).reshape(n, n)
+
+
+def _relative_rep(ell: int, k0: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """pi_ell(k0)^-1 pi_ell(a) as one symmetric power: that of U0^H Ua, for
+    the lifts U0 of k0 (gated by the caller) and Ua of a (gated here) that
+    rep_exp takes.  Each lift is [[p, -conj(q)], [q, conj(p)]], and so is
+    U0^H Ua.  rep_exp(k0^T a) would lift the product afresh with w >= 0,
+    which for odd ell flips the sign wherever U0^H Ua has w < 0."""
+    a0, _, c0, _ = _su2(k0)
+    a1, _, c1, _ = _su2(check_rotation(a, 3))
+    p = a0.conjugate() * a1 + c0.conjugate() * c1
+    q = a0 * c1 - c0 * a1
+    return _power(ell, (p, -q.conjugate(), q, p.conjugate()))
 
 
 def phi_pi(rep: RepSO3, g: np.ndarray) -> np.ndarray:
@@ -220,18 +270,13 @@ def reconstruct_phi(ell: int, w: int, k: int, g: np.ndarray) -> np.ndarray:
     The coset point is x = g e4 on the 3-sphere; writing x = k0 (y0, u)
     with y0 = (sqrt(1-u^2), 0, 0) and k0 the section rotation, H(g) is the
     conjugate by pi(k0) of the diagonal matrix of the one-variable vector
-    H(u)."""
+    H(u), so Phi(g) = pi(k0) diag(H(u)) (pi(k0)^-1 pi(a))."""
     a, _ = wedge_cover(g)   # the one gate on g
     x = np.asarray(g, dtype=float)[:, 3]
     u = min(max(float(x[3]), -1.0), 1.0)
     k0 = section_matrix(x[:3])
-    rep = RepSO3(ell)
-    pik0 = rep_exp(rep, k0)
-    # pi(k0)^-1 = S^-1 pi(k0)^H S for S = diag C(ell, j): pi_ell is unitary
-    # for the form S, in which C(ell, j) x^(ell-j) y^j has norm^2 C(ell, j)
-    inverse = pik0.conj().T * _symmetric_power(ell).ratio
-    H = (pik0 * np.array(eval_H(ell, w, k, u))) @ inverse
-    return H @ rep_exp(rep, a)
+    pik0 = rep_exp(RepSO3(ell), k0)
+    return (pik0 * np.array(eval_H(ell, w, k, u))) @ _relative_rep(ell, k0, a)
 
 
 def plane_rotation_14(theta: float) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isqrt
+from math import comb, factorial, isqrt
 from typing import NamedTuple
 
 from .gaussian import GaussianRational, ZERO, ONE, I
@@ -22,14 +22,15 @@ from . import exact_linalg
 
 def _weight_diagonal(ell: int):
     """The entries c_j (1-u^2)^j of the diagonal middle factor of the
-    weight, with c_j the diagonal of U*U."""
+    weight, with c_j the diagonal of U*U, expanded by the binomial theorem:
+    the coefficient of u^(2i) is (-1)^i C(j, i) c_j."""
     st = build_structures(ell)
-    one_minus_u2 = Polynomial([1, 0, -1])
     entries = []
-    pw = Polynomial.constant(1)
     for j in range(ell + 1):
-        entries.append(pw * st.UstarU[j, j].constant_term())
-        pw = pw * one_minus_u2
+        c = st.UstarU[j, j].constant_term()
+        coeffs = [ZERO] * (2 * j + 1)
+        coeffs[::2] = [(-1) ** i * comb(j, i) * c for i in range(j + 1)]
+        entries.append(Polynomial(coeffs))
     return entries
 
 

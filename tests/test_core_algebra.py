@@ -8,8 +8,8 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sphmop.gaussian import (GaussianRational, format_gaussian,
-                             integer_horner, I, ONE, ZERO)
+from sphmop.gaussian import (GaussianRational, complex_product,
+                             format_gaussian, integer_horner, I, ONE, ZERO)
 from sphmop.family import build_Pw
 from sphmop.hypergeometric import hyp_terminating
 from sphmop.polynomials import (Polynomial, MatrixPolynomial,
@@ -104,6 +104,17 @@ class TestGaussianRational:
                         z1 / z2
                 else:
                     assert_matches(op(z1, z2), op(m1, m2))
+
+    @settings(max_examples=300)
+    @given(parts, parts)
+    @example((Fraction(2, 3), Fraction(0)), (Fraction(3, 4), Fraction(-9, 2)))
+    @example((Fraction(0), Fraction(0)), (Fraction(5, 7), Fraction(1, 3)))
+    def test_complex_product_rounds_as_reduced_product(self, x, y):
+        # the product's triple is never reduced, yet int true division
+        # rounds it to the same floats as the reduced one
+        zx, zy = GaussianRational(*x), GaussianRational(*y)
+        assert float_bits(complex_product(zx, zy)) \
+            == float_bits(complex(zx * zy))
 
     def test_immutable(self):
         z = GaussianRational(1, 2)

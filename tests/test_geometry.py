@@ -168,13 +168,40 @@ class TestCover:
             gate(eye)
 
     def test_rejects_non_finite(self):
-        # NaN compares false with every tolerance, so it must be caught first
+        # NaN compares false with every tolerance, so it must be caught
+        # first, wherever it sits
         for n in (3, 4):
             for bad in (np.nan, np.inf, -np.inf):
-                g = np.eye(n)
-                g[n - 1, n - 1] = bad
-                with pytest.raises(ValueError, match="non-finite"):
-                    geo.check_rotation(g, n)
+                for position in np.ndindex(n, n):
+                    g = np.eye(n)
+                    g[position] = bad
+                    with pytest.raises(ValueError, match="non-finite"):
+                        geo.check_rotation(g, n)
+
+    def test_tolerance_agrees_with_numpy(self):
+        # the gate's scalar checks accept and reject, with the same message,
+        # as the residual max |g^T g - I| and numpy's determinant would, on
+        # rotations perturbed by up to half and twice the tolerance
+        rng = np.random.default_rng(33)
+        outcomes = set()
+        for n in (3, 4):
+            for _ in range(100):
+                q = random_rotation(rng, n)
+                for size in (0.5e-9, 2e-9):
+                    g = q + size * rng.uniform(-1.0, 1.0, (n, n))
+                    if np.max(np.abs(g.T @ g - np.eye(n))) > geo._TOL:
+                        want = "not orthogonal"
+                    elif abs(np.linalg.det(g) - 1.0) > geo._TOL:
+                        want = "determinant"
+                    else:
+                        want = None
+                    outcomes.add(want)
+                    if want is None:
+                        assert np.array_equal(geo.check_rotation(g, n), g)
+                    else:
+                        with pytest.raises(ValueError, match=want):
+                            geo.check_rotation(g, n)
+        assert outcomes == {None, "not orthogonal", "determinant"}
 
 
 class TestRepresentation:
@@ -234,9 +261,9 @@ class TestRepresentation:
                 assert err < 1e-8
 
     def test_inverse_is_adjoint_for_binomial_form(self, rng):
-        # pi_ell(k)^-1 = S^-1 pi_ell(k)^H S with S = diag C(ell, j), the
-        # route reconstruct_phi takes to pi(k0)^-1; with the w >= 0 lift
-        # on both sides it holds with its sign for odd ell too
+        # pi_ell(k)^-1 = S^-1 pi_ell(k)^H S with S = diag C(ell, j): pi_ell
+        # is unitary for the form S; with the w >= 0 lift on both sides it
+        # holds with its sign for odd ell too
         ks = [random_rotation(rng, 3) for _ in range(10)]
         for ell in range(8):
             rep = geo.RepSO3(ell)
@@ -321,6 +348,28 @@ class TestReconstruction:
                            @ geo.phi_pi(rep, g))
                     diff = geo.reconstruct_phi(ell, w, k, g) - ref
                     assert np.max(np.abs(diff)) < 1e-12, (ell, w, k)
+
+    def test_relative_rep_keeps_the_lifts_sign(self):
+        # pi(k0)^-1 pi(a), as the one symmetric power reconstruct_phi takes,
+        # against numpy's inverse at k0 and a from seeded Haar points; for
+        # odd ell the lift of k0^T a is its negative at some of them, so
+        # this comparison tells the two lifts apart
+        rng = np.random.default_rng(32)
+        pairs = []
+        for _ in range(120):
+            g = random_rotation(rng, 4)
+            pairs.append((geo.section_matrix(g[:3, 3]), geo.wedge_cover(g)[0]))
+        for ell in range(1, 8):
+            rep = geo.RepSO3(ell)
+            flipped = 0
+            for k0, a in pairs:
+                got = geo._relative_rep(ell, k0, a)
+                ref = (np.linalg.inv(geo.rep_exp(rep, k0))
+                       @ geo.rep_exp(rep, a))
+                assert np.max(np.abs(got - ref)) < 1e-12, ell
+                product = geo.rep_exp(rep, k0.T @ a)
+                flipped += np.max(np.abs(product + got)) < 1e-12
+            assert (flipped > 0) == (ell % 2 == 1), (ell, flipped)
 
     def test_trivial_function(self, rng):
         for _ in range(5):
